@@ -11,7 +11,7 @@ import numpy as np
 from .ca import CaConfig, CaRunResult, run_ca
 from .ga import GaConfig, run_ga
 from .grid import Pattern, symmetry_images
-from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
+from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count
 
 # Unique 5x5 optimum (up to symmetry), oriented so that border growth below
 # keeps the added dominoes consistent across the torus seam.
@@ -191,7 +191,9 @@ def brute_force_oracle(n: int, params: PayoffParams = DEFAULT_PARAMS,
                        allow_large: bool = False) -> OracleResult:
     """Exhaustively score all 2^(n^2) patterns.
 
-    n <= 4 is always allowed; n = 5 (33M patterns) only with allow_large.
+    Pattern codes are bitboards (grid.pack), scored on int64 arrays in the
+    pair-sum form of payoff.tps_of_bits. n <= 4 is always allowed; n = 5
+    (33M patterns) only with allow_large.
     """
     limit = ORACLE_MAX_N_LARGE if allow_large else ORACLE_MAX_N
     if n < 3 or n > limit:
@@ -200,35 +202,23 @@ def brute_force_oracle(n: int, params: PayoffParams = DEFAULT_PARAMS,
             + ("" if allow_large else " (n=5 needs allow_large)")
             + f", got {n}")
     nn = n * n
-    from .grid import window_indices
-    idx = window_indices(n)
+    c0, c1, c2 = params.pair_sum
     best = -np.inf
     best_codes: list[int] = []
-    chunk = 1 << 18  # keeps the window tensor around 60 MB for n = 5
-    t, r, pp, s = params.t, params.r, params.p, params.s
+    chunk = 1 << 18  # codes per pass; keeps temporaries at a few MB
     for lo in range(0, 1 << nn, chunk):
-        hi = min(lo + chunk, 1 << nn)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        bits = ((codes[:, None] >> np.arange(nn)) & 1).astype(np.int8)
-        windows = bits[:, idx]
-        if params.self_play:
-            n_coop = 9 - windows.sum(axis=2, dtype=np.int16)
-        else:
-            n_coop = 8 - windows[:, :, 1:].sum(axis=2, dtype=np.int16)
-        n_def = params.k - n_coop
-        totals = np.where(bits == 1, t * n_coop + pp * n_def,
-                          r * n_coop + s * n_def)
-        tps_all = totals.sum(axis=1)
+        codes = np.arange(lo, min(lo + chunk, 1 << nn), dtype=np.int64)
+        tps_all = (c0 * nn + c1 * np.bitwise_count(codes)
+                   + c2 * pair_count(codes, n, np.bitwise_count))
         m = tps_all.max()
         if m > best:
             best = m
             best_codes = []
         if m == best:
-            best_codes.extend(int(c) for c in codes[tps_all == best])
+            best_codes.extend(codes[tps_all == best].tolist())
     reps = {}
     for code in best_codes:
-        arr = np.array([(code >> k) & 1 for k in range(nn)],
-                       dtype=np.uint8).reshape(n, n)
+        arr = Pattern.from_board(n, code).to_array()
         key = _canonical_bytes(arr)
         if key not in reps:
             reps[key] = Pattern.from_array(

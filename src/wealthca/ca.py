@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Pattern, window_indices
+from .grid import Pattern, check_size, pack, window_indices
 from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
 from .templates import TemplateSet
 
@@ -85,8 +85,9 @@ def _hit_table(ts: TemplateSet):
 
     Returns (match_centers, full_ok) where match_centers[code] lists the
     center value of every template whose outer ring equals the code, and
-    full_ok is a (256, 2) bool array with full_ok[code, a] true iff some
-    matching template has center a (i.e. a full match exists).
+    full_ok is a (256, 2) bool array with full_ok[code, a] true iff the code
+    has matching templates and every one of them has center a, so that a
+    micro-step on a cell in state a with that ring can never change it.
     """
     match_centers: list[tuple[int, ...]] = [()] * 256
     buckets: dict[int, list[int]] = {}
@@ -95,8 +96,8 @@ def _hit_table(ts: TemplateSet):
     full_ok = np.zeros((256, 2), dtype=bool)
     for code, centers in buckets.items():
         match_centers[code] = tuple(centers)
-        for c in centers:
-            full_ok[code, c] = True
+        if len(set(centers)) == 1:
+            full_ok[code, centers[0]] = True
     return tuple(match_centers), full_ok
 
 
@@ -166,7 +167,8 @@ def generation(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
 
 
 def is_stable(state: CaState, cfg: CaConfig) -> bool:
-    """True iff every cell has a full template match (an absorbing state)."""
+    """True iff every cell's outer ring matches only templates whose center
+    equals the cell (an absorbing state)."""
     _, full_ok = _hit_table(cfg.templates)
     bits = np.array(state.cells, dtype=np.int64)
     codes = bits[np.asarray(window_indices(state.n)[:, 1:])] @ _POW2
@@ -179,18 +181,19 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
     """Evolve up to t_limit generations, evaluating TPS/W after each.
 
     The evaluation never influences the evolution. A run ends early once the
-    pattern is stable (every cell fully matched; nothing can change after
-    that) or, if cfg.target_tps is set, once TPS reaches it.
+    pattern is stable (see is_stable; nothing can change after that) or, if
+    cfg.target_tps is set, once TPS reaches it.
     """
-    if start is None and n is None:
-        raise ValueError("need a grid size or a start pattern")
+    if start is None:
+        if n is None:
+            raise ValueError("need a grid size or a start pattern")
+        check_size(n)
     rng = random.Random(cfg.seed)
     state = init_ca(cfg, n if n is not None else 0, rng, start)
     area = state.n * state.n
 
     def evaluate() -> TraceRow:
-        bits = np.array(state.cells, dtype=np.int64)
-        total = tps_of_bits(bits, state.n, params)
+        total = tps_of_bits(pack(state.cells), state.n, params)
         return TraceRow(state.t, total, total / (params.k * area),
                         is_stable(state, cfg))
 

@@ -20,7 +20,7 @@ from .analysis import (brute_force_oracle, construct_optimal_odd,
                        structure_report, tps_formula_odd)
 from .ca import CaConfig, run_ca
 from .ga import GaConfig, run_ga
-from .grid import Pattern, PatternError, parse, serialize
+from .grid import Pattern, PatternError, check_size, parse, serialize
 from .payoff import (DEFAULT_PARAMS, characteristic, expected_wealth,
                      total_payoff_grid, wealth)
 from .render import write_ppm
@@ -86,8 +86,13 @@ def main(ctx, seed, jobs, out_dir):
 @click.pass_context
 def ga(ctx, n, pop, p1, p2, iters, target, top):
     """Search optimal patterns with the genetic algorithm."""
-    cfg = GaConfig(population_size=pop, p1=p1, p2=p2, max_iterations=iters,
-                   target_fitness=target, seed=ctx.obj["seed"])
+    try:
+        check_size(n)
+        cfg = GaConfig(population_size=pop, p1=p1, p2=p2,
+                       max_iterations=iters, target_fitness=target,
+                       seed=ctx.obj["seed"])
+    except ValueError as exc:
+        _fail("ga", str(exc))
     _write_manifest(ctx, "ga", {"n": n, "pop": pop, "p1": p1, "p2": p2,
                                 "iters": iters, "target": target, "top": top})
     result = run_ga(cfg, n)
@@ -124,9 +129,15 @@ def evolve(ctx, rule, n, tlimit, init_path, init_density, select, pi01, pi10,
     start = _read_pattern(init_path, "evolve") if init_path else None
     if start is None and n is None:
         _fail("evolve", "need --n or --init")
-    cfg = CaConfig(templates=builtin_set(int(rule)), pi_01=pi01, pi_10=pi10,
-                   selection=select, init_density=init_density,
-                   t_limit=tlimit, seed=ctx.obj["seed"])
+    try:
+        if start is None:
+            check_size(n)
+        cfg = CaConfig(templates=builtin_set(int(rule)), pi_01=pi01,
+                       pi_10=pi10, selection=select,
+                       init_density=init_density, t_limit=tlimit,
+                       seed=ctx.obj["seed"])
+    except ValueError as exc:
+        _fail("evolve", str(exc))
     _write_manifest(ctx, "evolve", {
         "rule": int(rule), "n": n, "tlimit": tlimit, "init": init_path,
         "init_density": init_density, "select": select,
@@ -231,7 +242,11 @@ def oracle(ctx, n):
 @click.pass_context
 def bench(ctx, rule, n, runs, tlimit, use_points, optimum):
     """Statistics over many independent CA runs."""
-    cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit)
+    try:
+        check_size(n)
+        cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit)
+    except ValueError as exc:
+        _fail("bench", str(exc))
     _write_manifest(ctx, "bench", {
         "rule": int(rule), "n": n, "runs": runs, "tlimit": tlimit,
         "point_filled": use_points, "optimum": optimum})
@@ -327,8 +342,12 @@ def payoff_map(ctx, in_path):
 @click.pass_context
 def pipeline(ctx, n, iters, tlimit, rule_from, target):
     """Full chain: GA search, template extraction, CA evolution, analysis."""
-    out = _out_dir(ctx)
     seed = ctx.obj["seed"]
+    try:
+        check_size(n)
+    except ValueError as exc:
+        _fail("pipeline", str(exc))
+    out = _out_dir(ctx)
     _write_manifest(ctx, "pipeline", {"n": n, "iters": iters,
                                       "tlimit": tlimit,
                                       "rule_from": rule_from,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Pattern
+from .grid import Pattern, check_size, pack_rows
 from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
 
 
@@ -39,38 +39,41 @@ class Solution:
 
 
 class Population:
-    """GA working set: M bit rows with their fitnesses and a duplicate index."""
+    """GA working set: M bitboards with their fitnesses and a duplicate index.
 
-    def __init__(self, n: int, bits: np.ndarray, params: PayoffParams):
+    A board is a Python int with bit k = flat cell k (see grid.pack).
+    """
+
+    def __init__(self, n: int, boards: list[int], params: PayoffParams):
         self.n = n
         self.params = params
-        self.bits = bits  # (M, n*n) uint8
+        self.boards = list(boards)
         self.fitness = np.array(
-            [tps_of_bits(row, n, params) for row in bits])
-        self._counts = Counter(row.tobytes() for row in bits)
+            [tps_of_bits(b, n, params) for b in self.boards])
+        self._counts = Counter(self.boards)
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self.boards)
 
-    def contains_bits(self, row: np.ndarray) -> bool:
-        return self._counts[row.tobytes()] > 0
+    def contains_bits(self, board: int) -> bool:
+        return board in self._counts
 
-    def replace(self, i: int, row: np.ndarray, fit: float) -> None:
-        old = self.bits[i].tobytes()
+    def replace(self, i: int, board: int, fit: float) -> None:
+        old = self.boards[i]
         self._counts[old] -= 1
         if self._counts[old] <= 0:
             del self._counts[old]
-        self.bits[i] = row
+        self.boards[i] = board
         self.fitness[i] = fit
-        self._counts[row.tobytes()] += 1
+        self._counts[board] += 1
 
     @property
     def best_fitness(self) -> float:
         return float(self.fitness.max())
 
     def solutions(self) -> list[Solution]:
-        return [Solution(Pattern(self.n, tuple(int(v) for v in row)), float(f))
-                for row, f in zip(self.bits, self.fitness)]
+        return [Solution(Pattern.from_board(self.n, b), float(f))
+                for b, f in zip(self.boards, self.fitness)]
 
 
 def init_population(cfg: GaConfig, n: int,
@@ -81,23 +84,22 @@ def init_population(cfg: GaConfig, n: int,
         rng = np.random.default_rng(cfg.seed)
     bits = rng.integers(0, 2, size=(cfg.population_size, n * n),
                         dtype=np.uint8)
-    return Population(n, bits, params)
+    return Population(n, pack_rows(bits), params)
 
 
-def make_offspring(parent: Solution, mate: Solution, cfg: GaConfig,
-                   rng: np.random.Generator) -> Pattern:
-    """Uniform crossover (take-from-mate with p1) then per-bit mutation (p2)."""
-    a = np.array(parent.pattern.cells, dtype=np.uint8)
-    b = np.array(mate.pattern.cells, dtype=np.uint8)
-    child = _offspring_bits(a, b, cfg.p1, cfg.p2, rng)
-    return Pattern(parent.pattern.n, tuple(int(v) for v in child))
+def draw_masks(cfg: GaConfig, m: int, nn: int,
+               rng: np.random.Generator) -> tuple[list[int], list[int]]:
+    """m crossover masks (each bit set with p1) and then m mutation masks
+    (each bit set with p2), as bitboards of nn cells."""
+    cross = pack_rows(rng.random((m, nn)) < cfg.p1)
+    flip = pack_rows(rng.random((m, nn)) < cfg.p2)
+    return cross, flip
 
 
-def _offspring_bits(parent: np.ndarray, mate: np.ndarray, p1: float,
-                    p2: float, rng: np.random.Generator) -> np.ndarray:
-    nn = parent.shape[0]
-    child = np.where(rng.random(nn) < p1, mate, parent)
-    return child ^ (rng.random(nn) < p2)
+def make_offspring(parent: int, mate: int, cross: int, flip: int) -> int:
+    """Uniform crossover (take the cross bits from the mate), then mutation
+    (flip the flip bits)."""
+    return ((parent & ~cross) | (mate & cross)) ^ flip
 
 
 def ga_step(pop: Population, cfg: GaConfig, rng: np.random.Generator) -> None:
@@ -107,13 +109,11 @@ def ga_step(pop: Population, cfg: GaConfig, rng: np.random.Generator) -> None:
     itself, which degenerates to mutation-only offspring.
     """
     m = len(pop)
-    nn = pop.n * pop.n
-    mates = rng.integers(0, m, size=m)
-    cross = rng.random((m, nn)) < cfg.p1
-    flip = rng.random((m, nn)) < cfg.p2
+    mates = rng.integers(0, m, size=m).tolist()
+    cross, flip = draw_masks(cfg, m, pop.n * pop.n, rng)
+    boards = pop.boards
     for i in range(m):
-        child = np.where(cross[i], pop.bits[mates[i]], pop.bits[i]) ^ flip[i]
-        child = child.astype(np.uint8, copy=False)
+        child = make_offspring(boards[i], boards[mates[i]], cross[i], flip[i])
         fit = tps_of_bits(child, pop.n, pop.params)
         if fit > pop.fitness[i] and not pop.contains_bits(child):
             pop.replace(i, child, fit)
@@ -136,6 +136,7 @@ def run_ga(cfg: GaConfig, n: int,
 
     Returns the population sorted by descending fitness.
     """
+    check_size(n)
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(cfg, n, params, rng)
     iterations = 0

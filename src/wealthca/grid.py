@@ -29,6 +29,15 @@ class PatternError(ValueError):
     """Raised for malformed pattern data or text."""
 
 
+def check_size(n: int) -> None:
+    """Raise PatternError unless n is a valid side length (>= 3).
+
+    Below 3 the eight Moore neighbors of a cell are no longer distinct.
+    """
+    if n < 3:
+        raise PatternError(f"side length must be >= 3, got {n}")
+
+
 @dataclass(frozen=True)
 class Coord:
     """Grid coordinate. Use :meth:`reduced` to wrap raw indices onto a torus."""
@@ -49,8 +58,7 @@ class Pattern:
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 3:
-            raise PatternError(f"side length must be >= 3, got {self.n}")
+        check_size(self.n)
         if len(self.cells) != self.n * self.n:
             raise PatternError(
                 f"expected {self.n * self.n} cells, got {len(self.cells)}")
@@ -66,6 +74,14 @@ class Pattern:
     def from_array(cls, arr: np.ndarray) -> "Pattern":
         arr = np.asarray(arr)
         return cls(arr.shape[0], tuple(int(v) for v in arr.reshape(-1)))
+
+    @classmethod
+    def from_board(cls, n: int, board: int) -> "Pattern":
+        """Inverse of pack: the n x n pattern of a bitboard."""
+        data = board.to_bytes((n * n + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
+                             count=n * n, bitorder="little")
+        return cls(n, tuple(bits.tolist()))
 
     @classmethod
     def zeros(cls, n: int) -> "Pattern":
@@ -89,6 +105,22 @@ class Pattern:
         n = self.n
         return ["".join(str(v) for v in self.cells[i * n:(i + 1) * n])
                 for i in range(n)]
+
+
+# Bitboards: a pattern packed into one Python int, bit k = flat cell k
+# (row-major), the layout of the oracle's pattern codes.
+
+def pack_rows(rows: np.ndarray) -> list[int]:
+    """Bitboards of the rows of a 2-D 0/1 or bool array."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[k:k + width], "little")
+            for k in range(0, len(data), width)]
+
+
+def pack(cells) -> int:
+    """Bitboard of a flat sequence of 0/1 Python ints."""
+    return pack_rows(np.frombuffer(bytes(cells), dtype=np.uint8)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -121,11 +153,9 @@ def moore_neighborhood(p: Pattern, c: Coord) -> NeighborhoodConfig:
 @lru_cache(maxsize=None)
 def window_indices(n: int) -> np.ndarray:
     """(n*n, 9) flat indices of each cell's 3x3 window, MOORE_OFFSETS order."""
-    idx = np.empty((n * n, 9), dtype=np.intp)
-    for i in range(n):
-        for j in range(n):
-            for k, (di, dj) in enumerate(MOORE_OFFSETS):
-                idx[i * n + j, k] = ((i + di) % n) * n + (j + dj) % n
+    i, j = np.divmod(np.arange(n * n, dtype=np.intp)[:, None], n)
+    di, dj = np.array(MOORE_OFFSETS, dtype=np.intp).T
+    idx = ((i + di) % n) * n + (j + dj) % n
     idx.setflags(write=False)
     return idx
 
@@ -187,8 +217,7 @@ def parse(text: str) -> Pattern:
         rows.append(row)
     if len(rows) != n:
         raise PatternError(f"expected {n} rows for width {n}, got {len(rows)}")
-    if n < 3:
-        raise PatternError(f"side length must be >= 3, got {n}")
+    check_size(n)
     return Pattern.from_rows(rows)
 
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import Coord, Pattern, window_indices
+from .grid import Coord, Pattern, pack, window_indices
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,20 @@ class PayoffParams:
     def k(self) -> int:
         return 9 if self.self_play else 8
 
+    @cached_property
+    def pair_sum(self) -> tuple[float, float, float]:
+        """(c0, c1, c2) with TPS = c0 n^2 + c1 ones + c2 E on any n x n torus.
+
+        ones counts defectors and E the 8-neighbor pairs of defectors. Each
+        of the 4n^2 neighbor pairs pays 2R, S + T or 2P for 0, 1 or 2
+        defectors, and there are 8 ones - 2E mixed pairs; with self_play
+        each cell adds R or P against itself. The defaults give 9, 7, -4.
+        """
+        own = 1.0 if self.self_play else 0.0
+        return (8 * self.r + own * self.r,
+                8 * (self.s + self.t) - 16 * self.r + own * (self.p - self.r),
+                2 * (self.r + self.p - self.s - self.t))
+
 
 DEFAULT_PARAMS = PayoffParams()
 
@@ -43,7 +58,10 @@ def pair_payoff(a: int, b: int, params: PayoffParams = DEFAULT_PARAMS) -> float:
 
 def total_payoff_grid(p: Pattern,
                       params: PayoffParams = DEFAULT_PARAMS) -> np.ndarray:
-    """(n, n) array of each cell's summed payoff against its K opponents."""
+    """(n, n) array of each cell's summed payoff against its K opponents.
+
+    Only the per-cell map needs this; totals go through tps_of_bits.
+    """
     bits = np.asarray(p.cells, dtype=np.int64)
     idx = window_indices(p.n)
     windows = bits[idx]  # (N, 9), center first
@@ -79,7 +97,7 @@ def cell_utility(p: Pattern, c: Coord,
 
 def tps(p: Pattern, params: PayoffParams = DEFAULT_PARAMS) -> float:
     """Total payoff sum over all cells; integer-valued for integer payoffs."""
-    return float(total_payoff_grid(p, params).sum())
+    return tps_of_bits(pack(p.cells), p.n, params)
 
 
 def wealth(p: Pattern, params: PayoffParams = DEFAULT_PARAMS) -> float:
@@ -125,19 +143,41 @@ def characteristic(p: Pattern,
     )
 
 
-def tps_of_bits(bits: np.ndarray, n: int,
+@lru_cache(maxsize=None)
+def _torus_masks(n: int) -> tuple[int, int, int, int, int]:
+    """Masks of an n x n bitboard: all but the last column, the last column,
+    all but the first column, the first column, and the first row."""
+    first = sum(1 << (i * n) for i in range(n))
+    last = first << (n - 1)
+    full = (1 << (n * n)) - 1
+    return full ^ last, last, full ^ first, first, (1 << n) - 1
+
+
+def pair_count(x, n: int, popcount=int.bit_count):
+    """Number E of 8-neighbor pairs of set bits on the n x n torus.
+
+    x is a bitboard (bit k = flat cell k, row-major) with a matching
+    popcount, or an int64 array of them with np.bitwise_count (n <= 7).
+    Each pair is counted once, from its upper or left cell, through the
+    toroidal shifts right, down, down-right and down-left; this needs n >= 3.
+    """
+    not_last, last, not_first, first, row0 = _torus_masks(n)
+    # bit k of each shift holds the state of cell k's neighbor that way
+    right = ((x >> 1) & not_last) | ((x << (n - 1)) & last)
+    down = (x >> n) | ((x & row0) << (n * n - n))
+    down_right = ((down >> 1) & not_last) | ((down << (n - 1)) & last)
+    down_left = ((down << 1) & not_first) | ((down >> (n - 1)) & first)
+    return (popcount(x & right) + popcount(x & down)
+            + popcount(x & down_right) + popcount(x & down_left))
+
+
+def tps_of_bits(board: int, n: int,
                 params: PayoffParams = DEFAULT_PARAMS) -> float:
-    """TPS of a flat 0/1 array without building a Pattern (hot path)."""
-    bits = bits.astype(np.int64, copy=False)
-    windows = bits[window_indices(n)]
-    if params.self_play:
-        n_coop = 9 - windows.sum(axis=1)
-    else:
-        n_coop = 8 - windows[:, 1:].sum(axis=1)
-    n_def = params.k - n_coop
-    totals = np.where(
-        bits == 1,
-        params.t * n_coop + params.p * n_def,
-        params.r * n_coop + params.s * n_def,
-    )
-    return float(totals.sum())
+    """TPS of an n x n bitboard (see grid.pack) in pair-sum form (hot path).
+
+    TPS = c0 n^2 + c1 ones + c2 E with the params.pair_sum coefficients.
+    """
+    if n < 3 or board >> (n * n):
+        raise ValueError(f"need n >= 3 and a board of n^2 bits, got n = {n}")
+    c0, c1, c2 = params.pair_sum
+    return c0 * (n * n) + c1 * board.bit_count() + c2 * pair_count(board, n)

@@ -8,8 +8,8 @@ from wealthca.analysis import (ORACLE_MAX_N, brute_force_oracle,
                                tps_formula_odd, wealth_formula_odd)
 from wealthca.ca import CaConfig
 from wealthca.ga import GaConfig
-from wealthca.grid import Pattern, parse
-from wealthca.payoff import tps, wealth
+from wealthca.grid import Coord, Pattern, parse
+from wealthca.payoff import PayoffParams, cell_total_payoff, tps, wealth
 from wealthca.templates import builtin_set
 
 
@@ -75,6 +75,7 @@ class TestConstruction:
     def test_five_matches_exhaustive_search(self):
         oracle = brute_force_oracle(5, allow_large=True)
         assert oracle.max_tps == 265.0
+        assert oracle.n_optima == 50
         assert tps(construct_optimal_odd(5)) == oracle.max_tps
 
     def test_construction_windows_stay_in_the_full_rule(self):
@@ -116,6 +117,18 @@ class TestOracle:
         assert res.n_optima == 12
         point = point_filled(4)
         assert tps(point) == res.max_tps
+
+    @pytest.mark.parametrize("params", [
+        PayoffParams(t=5.0, r=3.0, p=1.0, s=0.0),
+        PayoffParams(t=5.0, r=3.0, p=1.0, s=-2.0, self_play=False)])
+    def test_array_scoring_matches_scalar_reference(self, params):
+        scores = [sum(cell_total_payoff(p, Coord(i, j), params)
+                      for i in range(3) for j in range(3))
+                  for p in (Pattern.from_board(3, code)
+                            for code in range(1 << 9))]
+        res = brute_force_oracle(3, params)
+        assert res.max_tps == max(scores)
+        assert res.n_optima == scores.count(max(scores))
 
     def test_size_limits(self):
         with pytest.raises(ValueError):

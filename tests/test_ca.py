@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from wealthca.ca import (CaConfig, CaState, generation, init_ca, is_stable,
-                         micro_step, run_ca)
+from wealthca.ca import (CaConfig, CaState, _hit_table, generation, init_ca,
+                         is_stable, micro_step, run_ca)
 from wealthca.grid import Coord, Pattern
 from wealthca.payoff import wealth
-from wealthca.templates import builtin_set, match_except_center
+from wealthca.templates import (builtin_set, extract_templates,
+                                match_except_center)
 
 RULE8 = builtin_set(8)
 RULE36 = builtin_set(36)
@@ -143,11 +144,33 @@ class TestGeneration:
             state = init_ca(cfg, 7, rng, start=optimal7)
             assert is_stable(state, cfg) == expect
 
+    def test_ring_with_both_centers_is_not_stable(self):
+        # every window of p is a template, but 24 outer rings of the
+        # extracted set carry both centers, so a micro-step may still flip
+        rng = random.Random(0)
+        p = Pattern(6, tuple(rng.randint(0, 1) for _ in range(36)))
+        cfg = CaConfig(extract_templates(p), t_limit=0)
+        ambiguous = [c for c in _hit_table(cfg.templates)[0]
+                     if len(set(c)) == 2]
+        assert len(ambiguous) == 24
+        state = init_ca(cfg, 6, rng, start=p)
+        assert not is_stable(state, cfg)
+        assert not run_ca(cfg, start=p).stable
+        assert generation(state, cfg, random.Random(1))
+
+    def test_builtin_rules_have_no_ambiguous_rings(self):
+        for ts in (RULE8, RULE36, RULE52):
+            assert all(len(set(c)) <= 1 for c in _hit_table(ts)[0])
+
 
 class TestRun:
     def test_requires_size_or_start(self):
         with pytest.raises(ValueError):
             run_ca(CaConfig(RULE8))
+
+    def test_rejects_tiny_grids(self):
+        with pytest.raises(ValueError):
+            run_ca(CaConfig(RULE8), n=0)
 
     def test_deterministic_trajectory(self):
         cfg = CaConfig(RULE8, t_limit=20, seed=77)

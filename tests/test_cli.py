@@ -75,6 +75,21 @@ class TestEvolve:
         assert "not found" in json.loads(res.stderr)["error"]["message"]
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("args", [
+        ("ga", "--n", "2"),
+        ("ga", "--n", "4", "--pop", "1"),
+        ("evolve", "--rule", "8", "--n", "2"),
+        ("evolve", "--rule", "8", "--n", "6", "--pi01", "1.5"),
+        ("bench", "--rule", "8", "--n", "0"),
+        ("pipeline", "--n", "2"),
+    ], ids=lambda args: " ".join(args))
+    def test_rejected_before_any_work(self, runner, tmp_path, args):
+        res = invoke(runner, tmp_path, *args, expect_exit=1)
+        assert json.loads(res.stderr)["error"]["stage"] == args[0]
+        assert not (tmp_path / "manifest.json").exists()
+
+
 class TestExtractAnalyzeConstruct:
     def test_construct_then_extract_then_analyze(self, runner, tmp_path):
         pat = tmp_path / "p.txt"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from wealthca.analysis import brute_force_oracle
-from wealthca.ga import (GaConfig, Population, Solution, ga_step,
+from wealthca.analysis import brute_force_oracle, derive_seed
+from wealthca.ga import (GaConfig, Population, draw_masks, ga_step,
                          init_population, make_offspring, run_ga)
-from wealthca.grid import Pattern
+from wealthca.grid import Pattern, pack, pack_rows
 from wealthca.payoff import DEFAULT_PARAMS, tps, tps_of_bits
 
 
@@ -21,30 +21,30 @@ class TestConfig:
 
 
 class TestOffspring:
-    def setup_method(self):
-        self.parent = Solution(Pattern.zeros(4), 0.0)
-        mate_bits = (1,) * 8 + (0,) * 8
-        self.mate = Solution(Pattern(4, mate_bits), 0.0)
+    # statistics of the operator ga_step runs, on masks drawn as it draws them
+    nn = 16
+    parent = 0
+    mate = pack((1,) * 8 + (0,) * 8)
+
+    def children(self, cfg, mate, draws, seed):
+        rng = np.random.default_rng(seed)
+        cross, flip = draw_masks(cfg, draws, self.nn, rng)
+        return [make_offspring(self.parent, mate, c, f)
+                for c, f in zip(cross, flip)]
 
     def test_no_crossover_no_mutation_copies_parent(self):
         cfg = GaConfig(p1=0.0, p2=0.0)
-        rng = np.random.default_rng(0)
-        child = make_offspring(self.parent, self.mate, cfg, rng)
-        assert child == self.parent.pattern
+        assert self.children(cfg, self.mate, 10, 0) == [self.parent] * 10
 
     def test_full_crossover_copies_mate(self):
         cfg = GaConfig(p1=1.0, p2=0.0)
-        rng = np.random.default_rng(0)
-        child = make_offspring(self.parent, self.mate, cfg, rng)
-        assert child == self.mate.pattern
+        assert self.children(cfg, self.mate, 10, 0) == [self.mate] * 10
 
     def test_pure_mutation_flip_rate(self):
         cfg = GaConfig(p1=0.0, p2=0.05)
-        rng = np.random.default_rng(7)
-        flips = sum(
-            make_offspring(self.parent, self.parent, cfg, rng).ones
-            for _ in range(2000))
-        rate = flips / (2000 * 16)
+        flips = sum(c.bit_count()
+                    for c in self.children(cfg, self.parent, 2000, 7))
+        rate = flips / (2000 * self.nn)
         assert rate == pytest.approx(0.05, abs=0.01)
 
     def test_per_bit_change_probability(self):
@@ -54,14 +54,11 @@ class TestOffspring:
         d = 0.5
         expected = (1 - cfg.p1) * cfg.p2 + cfg.p1 * (
             d * (1 - cfg.p2) + (1 - d) * cfg.p2)
-        rng = np.random.default_rng(11)
-        parent_bits = np.array(self.parent.pattern.cells)
-        changed = 0
         draws = 10_000
-        for _ in range(draws):
-            child = make_offspring(self.parent, self.mate, cfg, rng)
-            changed += int((np.array(child.cells) != parent_bits).sum())
-        assert changed / (draws * 16) == pytest.approx(expected, abs=0.005)
+        changed = sum((c ^ self.parent).bit_count()
+                      for c in self.children(cfg, self.mate, draws, 11))
+        assert changed / (draws * self.nn) == pytest.approx(expected,
+                                                            abs=0.005)
 
 
 class TestPopulation:
@@ -69,16 +66,16 @@ class TestPopulation:
         cfg = GaConfig(population_size=10, seed=3)
         pop = init_population(cfg, 4)
         assert len(pop) == 10
-        for row, fit in zip(pop.bits, pop.fitness):
-            assert fit == tps(Pattern(4, tuple(int(v) for v in row)))
+        for board, fit in zip(pop.boards, pop.fitness):
+            assert fit == tps(Pattern.from_board(4, board))
 
     def test_duplicate_index_tracks_replacement(self):
         cfg = GaConfig(population_size=4, seed=0)
         pop = init_population(cfg, 3)
-        row = np.ones(9, dtype=np.uint8)
-        assert not pop.contains_bits(row)
-        pop.replace(0, row, 0.0)
-        assert pop.contains_bits(row)
+        board = pack((1,) * 9)
+        assert not pop.contains_bits(board)
+        pop.replace(0, board, 0.0)
+        assert pop.contains_bits(board)
         assert pop.fitness[0] == 0.0
 
     def test_step_never_lowers_any_slot(self):
@@ -96,8 +93,7 @@ class TestPopulation:
         pop = init_population(cfg, 4, rng=rng)
         for _ in range(100):
             ga_step(pop, cfg, rng)
-            rows = {row.tobytes() for row in pop.bits}
-            assert len(rows) == len(pop)
+            assert len(set(pop.boards)) == len(pop)
 
     def test_uniformly_optimal_population_is_fixed(self):
         # fill all slots with distinct shifts of a global optimum; no
@@ -105,15 +101,15 @@ class TestPopulation:
         oracle = brute_force_oracle(3)
         base = np.array(oracle.representatives[0].cells,
                         dtype=np.uint8).reshape(3, 3)
-        rows = np.stack([
-            np.roll(base, k, axis=1).ravel() for k in range(3)])
-        pop = Population(3, rows.copy(), DEFAULT_PARAMS)
+        boards = pack_rows(np.stack([
+            np.roll(base, k, axis=1).ravel() for k in range(3)]))
+        pop = Population(3, boards, DEFAULT_PARAMS)
         assert (pop.fitness == oracle.max_tps).all()
         cfg = GaConfig(population_size=3)
         rng = np.random.default_rng(9)
         for _ in range(50):
             ga_step(pop, cfg, rng)
-        assert (pop.bits == rows).all()
+        assert pop.boards == boards
 
 
 class TestRun:
@@ -145,5 +141,16 @@ class TestRun:
         fits = [s.fitness for s in res.solutions]
         assert fits == sorted(fits, reverse=True)
         assert res.best.fitness == res.best_fitness
-        bits = np.array(res.best.pattern.cells)
-        assert tps_of_bits(bits, 4) == res.best_fitness
+        assert tps_of_bits(pack(res.best.pattern.cells), 4) == res.best_fitness
+
+    def test_golden_trajectory(self):
+        # run lengths of the numpy-row GA that the bitboard GA replaced: the
+        # same draws must give the same fitnesses and so the same runs
+        iterations = [run_ga(GaConfig(target_fitness=387,
+                                      seed=derive_seed(1, i)), 6).iterations
+                      for i in range(10)]
+        assert iterations == [197, 119, 202, 278, 130, 307, 180, 241, 118, 310]
+
+    def test_rejects_tiny_grids(self):
+        with pytest.raises(ValueError):
+            run_ga(GaConfig(max_iterations=1), 2)

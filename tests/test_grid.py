@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from wealthca.grid import (Coord, Pattern, PatternError, SYMMETRY_OPS,
-                           moore_neighborhood, parse, serialize, transform)
+import numpy as np
+
+from wealthca.grid import (Coord, MOORE_OFFSETS, Pattern, PatternError,
+                           SYMMETRY_OPS, moore_neighborhood, pack, pack_rows,
+                           parse, serialize, transform, window_indices)
 
 patterns = st.integers(3, 8).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
@@ -49,6 +52,33 @@ class TestMooreNeighborhood:
         assert cfg.values == (1, 0, 0, 0, 0, 0, 0, 0, 0)
         assert cfg.center == 1
         assert cfg.outer == (0,) * 8
+
+
+class TestWindowIndices:
+    def test_matches_wrapped_offsets(self):
+        for n in (3, 4, 7):
+            idx = window_indices(n)
+            for i in range(n):
+                for j in range(n):
+                    assert list(idx[i * n + j]) == [
+                        ((i + di) % n) * n + (j + dj) % n
+                        for di, dj in MOORE_OFFSETS]
+
+
+class TestBitboard:
+    def test_bit_k_is_flat_cell_k(self):
+        p = Pattern.zeros(5)
+        cells = list(p.cells)
+        cells[2 * 5 + 3] = 1
+        assert pack(cells) == 1 << 13
+        assert Pattern.from_board(5, 1 << 13) == Pattern(5, tuple(cells))
+
+    @given(patterns)
+    def test_round_trip(self, p):
+        board = pack(p.cells)
+        assert Pattern.from_board(p.n, board) == p
+        assert pack_rows(np.array([p.cells], dtype=np.uint8)) == [board]
+        assert board.bit_count() == p.ones
 
 
 class TestTransform:

@@ -3,15 +3,28 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wealthca.grid import Coord, Pattern, SYMMETRY_OPS, parse, transform
+from wealthca.grid import (Coord, Pattern, SYMMETRY_OPS, pack, parse,
+                           transform)
 from wealthca.payoff import (DEFAULT_PARAMS, PayoffParams, Characteristic,
                              cell_total_payoff, cell_utility, characteristic,
                              expected_wealth, pair_payoff, tps, tps_of_bits,
                              total_payoff_grid, wealth)
 
-patterns = st.integers(3, 8).flatmap(
-    lambda n: st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
-    .map(lambda bits: Pattern(n, tuple(bits))))
+
+def patterns(max_n=8):
+    return st.integers(3, max_n).flatmap(
+        lambda n: st.lists(st.integers(0, 1), min_size=n * n,
+                           max_size=n * n)
+        .map(lambda bits: Pattern(n, tuple(bits))))
+
+
+# quarter steps keep every partial sum exact, so kernel and reference must
+# agree to the bit whatever order they add in
+quarters = st.integers(-20, 20).map(lambda k: k / 4)
+payoff_params = st.one_of(
+    st.just(DEFAULT_PARAMS),
+    st.builds(PayoffParams, quarters, quarters, quarters, quarters,
+              st.booleans()))
 
 
 class TestPairPayoff:
@@ -49,7 +62,7 @@ class TestCellPayoff:
         assert cell_total_payoff(p, Coord(0, 0), params) == 8.0
         assert cell_utility(p, Coord(0, 0), params) == 1.0
 
-    @given(patterns)
+    @given(patterns())
     def test_grid_matches_per_cell_loop(self, p):
         grid = total_payoff_grid(p)
         for i in range(p.n):
@@ -80,21 +93,38 @@ class TestTpsAndWealth:
         assert wealth(optimal7) == pytest.approx(1.18367, abs=1e-5)
 
     def test_tps_of_bits_matches_pattern_path(self, optimal7):
-        import numpy as np
-        bits = np.array(optimal7.cells)
-        assert tps_of_bits(bits, 7) == tps(optimal7)
+        assert tps_of_bits(pack(optimal7.cells), 7) == 522.0
+        assert tps_of_bits(pack(optimal7.cells), 7) == (
+            total_payoff_grid(optimal7).sum())
 
-    @given(patterns)
+    @given(patterns())
     def test_invariant_under_symmetries_and_shifts(self, p):
         ref = tps(p)
         for op in SYMMETRY_OPS:
             assert tps(transform(p, op)) == ref
         assert tps(transform(p, "shift", 1, 2)) == ref
 
-    @given(patterns)
+    @given(patterns())
     def test_tps_bounded_by_max_cell_income(self, p):
         # each cell can score at most K * T = 27 under the defaults
         assert 0.0 <= tps(p) <= 27 * p.n * p.n
+
+
+class TestKernel:
+    def test_default_coefficients(self):
+        # TPS = 9 n^2 + 7 ones - 4 E
+        assert DEFAULT_PARAMS.pair_sum == (9.0, 7.0, -4.0)
+
+    @given(patterns(12), payoff_params)
+    def test_matches_scalar_reference(self, p, params):
+        ref = sum(cell_total_payoff(p, Coord(i, j), params)
+                  for i in range(p.n) for j in range(p.n))
+        assert tps_of_bits(pack(p.cells), p.n, params) == ref
+
+    def test_rejects_tiny_grids_and_stray_bits(self):
+        for board, n in ((0, 2), (1 << 9, 3), (-1, 3)):
+            with pytest.raises(ValueError):
+                tps_of_bits(board, n)
 
 
 class TestExpectedWealth:
