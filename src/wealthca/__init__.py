@@ -1,7 +1,6 @@
 """Wealth-optimal binary patterns: SPD payoff, GA search, template CA."""
 
-from .grid import (Coord, NeighborhoodConfig, Pattern, PatternError,
-                   moore_neighborhood, parse, serialize, transform)
+from .grid import Coord, Pattern, PatternError, parse, serialize, transform
 from .payoff import (Characteristic, PayoffParams, DEFAULT_PARAMS,
                      cell_total_payoff, cell_utility, characteristic,
                      expected_wealth, tps, wealth)

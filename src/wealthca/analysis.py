@@ -10,7 +10,7 @@ import numpy as np
 
 from .ca import CaConfig, CaRunResult, run_ca
 from .ga import GaConfig, run_ga
-from .grid import Pattern, symmetry_images
+from .grid import Pattern, symmetry_images, window_codes
 from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count
 
 # Unique 5x5 optimum (up to symmetry), oriented so that border growth below
@@ -23,8 +23,7 @@ _BASE5 = (
     "11010",
 )
 
-ORACLE_MAX_N = 4
-ORACLE_MAX_N_LARGE = 5
+ORACLE_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -36,66 +35,43 @@ class StructureReport:
     zero_cells: int
 
 
+def _box_sum(a: np.ndarray, rows, cols) -> np.ndarray:
+    """Toroidal box sums: s[i, j] = sum of a[i + di, j + dj] (indices mod n)
+    over di in rows and dj in cols."""
+    r = sum(np.roll(a, -di, axis=0) for di in rows)
+    return sum(np.roll(r, -dj, axis=1) for dj in cols)
+
+
 def count_points(p: Pattern) -> int:
     """1-cells whose eight Moore neighbors are all 0."""
-    n = p.n
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            if p.at(i, j) == 1 and all(
-                    p.at(i + di, j + dj) == 0
-                    for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                    if (di, dj) != (0, 0)):
-                count += 1
-    return count
+    return int((window_codes(p.cells, p.n) == 256).sum())
 
 
 def count_dominoes(p: Pattern) -> int:
-    """Adjacent 1-pairs whose surrounding 10-cell hull is all 0."""
-    n = p.n
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            if p.at(i, j) != 1:
-                continue
-            if p.at(i, j + 1) == 1:
-                hull = [(i - 1, j - 1), (i - 1, j), (i - 1, j + 1),
-                        (i - 1, j + 2), (i, j - 1), (i, j + 2),
-                        (i + 1, j - 1), (i + 1, j), (i + 1, j + 1),
-                        (i + 1, j + 2)]
-                if all(p.at(a, b) == 0 for a, b in hull):
-                    count += 1
-            if p.at(i + 1, j) == 1:
-                hull = [(i - 1, j - 1), (i, j - 1), (i + 1, j - 1),
-                        (i + 2, j - 1), (i - 1, j), (i + 2, j),
-                        (i - 1, j + 1), (i, j + 1), (i + 1, j + 1),
-                        (i + 2, j + 1)]
-                if all(p.at(a, b) == 0 for a, b in hull):
-                    count += 1
-    return count
+    """Adjacent 1-pairs whose surrounding 10-cell hull is all 0.
+
+    A pair anchored at (i, j) is a domino iff both its cells are 1 and the
+    3x4 (horizontal) or 4x3 (vertical) box around it holds exactly 2 ones.
+    """
+    a = p.to_array()
+    right = a & np.roll(a, -1, axis=1)
+    down = a & np.roll(a, -1, axis=0)
+    return int((right & (_box_sum(a, (-1, 0, 1), (-1, 0, 1, 2)) == 2)).sum()
+               + (down & (_box_sum(a, (-1, 0, 1, 2), (-1, 0, 1)) == 2)).sum())
 
 
 def detect_singularities(p: Pattern) -> list[tuple[int, int]]:
-    """Top-left corners of maximal 2x2 zero blocks.
+    """Top-left corners of maximal 2x2 zero blocks, row-major.
 
     A block counts only if it cannot be extended to an all-zero 2x3 or 3x2
     block, so uniform zero regions report nothing.
     """
-    n = p.n
-    found = []
-    for i in range(n):
-        for j in range(n):
-            if any(p.at(i + a, j + b) for a in (0, 1) for b in (0, 1)):
-                continue
-            extensions = (
-                ((i - 1, j), (i - 1, j + 1)),
-                ((i + 2, j), (i + 2, j + 1)),
-                ((i, j - 1), (i + 1, j - 1)),
-                ((i, j + 2), (i + 1, j + 2)),
-            )
-            if all(any(p.at(a, b) for a, b in ext) for ext in extensions):
-                found.append((i, j))
-    return found
+    a = p.to_array()
+    found = _box_sum(a, (0, 1), (0, 1)) == 0
+    for rows, cols in (((-1,), (0, 1)), ((2,), (0, 1)),
+                       ((0, 1), (-1,)), ((0, 1), (2,))):
+        found &= _box_sum(a, rows, cols) > 0
+    return [(i, j) for i, j in np.argwhere(found).tolist()]
 
 
 def structure_report(p: Pattern) -> StructureReport:
@@ -187,20 +163,16 @@ def _canonical_bytes(arr: np.ndarray) -> bytes:
     return best
 
 
-def brute_force_oracle(n: int, params: PayoffParams = DEFAULT_PARAMS,
-                       allow_large: bool = False) -> OracleResult:
-    """Exhaustively score all 2^(n^2) patterns.
+def brute_force_oracle(n: int,
+                       params: PayoffParams = DEFAULT_PARAMS) -> OracleResult:
+    """Exhaustively score all 2^(n^2) patterns, 3 <= n <= ORACLE_MAX_N.
 
     Pattern codes are bitboards (grid.pack), scored on int64 arrays in the
-    pair-sum form of payoff.tps_of_bits. n <= 4 is always allowed; n = 5
-    (33M patterns) only with allow_large.
+    pair-sum form of payoff.tps_of_bits.
     """
-    limit = ORACLE_MAX_N_LARGE if allow_large else ORACLE_MAX_N
-    if n < 3 or n > limit:
+    if n < 3 or n > ORACLE_MAX_N:
         raise ValueError(
-            f"oracle supports 3 <= n <= {limit}"
-            + ("" if allow_large else " (n=5 needs allow_large)")
-            + f", got {n}")
+            f"oracle supports 3 <= n <= {ORACLE_MAX_N}, got {n}")
     nn = n * n
     c0, c1, c2 = params.pair_sum
     best = -np.inf

@@ -13,11 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Pattern, check_size, pack, window_indices
+from .grid import Pattern, check_size, pack, window_codes, window_indices
 from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
 from .templates import TemplateSet
-
-_POW2 = np.array([1 << k for k in range(8)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -170,9 +168,8 @@ def is_stable(state: CaState, cfg: CaConfig) -> bool:
     """True iff every cell's outer ring matches only templates whose center
     equals the cell (an absorbing state)."""
     _, full_ok = _hit_table(cfg.templates)
-    bits = np.array(state.cells, dtype=np.int64)
-    codes = bits[np.asarray(window_indices(state.n)[:, 1:])] @ _POW2
-    return bool(full_ok[codes, bits].all())
+    codes = window_codes(state.cells, state.n)
+    return bool(full_ok[codes & 255, codes >> 8].all())
 
 
 def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,

@@ -24,7 +24,8 @@ from .grid import Pattern, PatternError, check_size, parse, serialize
 from .payoff import (DEFAULT_PARAMS, characteristic, expected_wealth,
                      total_payoff_grid, wealth)
 from .render import write_ppm
-from .templates import builtin_set, extract_templates, serialize_templates
+from .templates import (TemplateSet, builtin_set, extract_templates,
+                        serialize_templates)
 
 
 def _fail(stage: str, message: str) -> None:
@@ -220,7 +221,7 @@ def construct(ctx, n, out_path):
 def oracle(ctx, n):
     """Exhaustively verify the optimum for a small size."""
     _write_manifest(ctx, "oracle", {"n": n})
-    res = brute_force_oracle(n, allow_large=(n == 5))
+    res = brute_force_oracle(n)
     doc = {"max_tps": res.max_tps, "n_optima": res.n_optima,
            "representatives": [p.rows() for p in res.representatives]}
     (_out_dir(ctx) / "oracle.json").write_text(
@@ -247,17 +248,14 @@ def bench(ctx, rule, n, runs, tlimit, use_points, optimum):
         cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit)
     except ValueError as exc:
         _fail("bench", str(exc))
+    if runs <= 0:
+        _fail("bench", f"runs must be positive, got {runs}")
     _write_manifest(ctx, "bench", {
         "rule": int(rule), "n": n, "runs": runs, "tlimit": tlimit,
         "point_filled": use_points, "optimum": optimum})
-    try:
-        summary = run_experiment(
-            "ca", cfg, n, runs,
-            start=point_filled(n) if use_points else None,
-            optimum_wealth=optimum, seed=ctx.obj["seed"],
-            jobs=ctx.obj["jobs"])
-    except ValueError as exc:
-        _fail("bench", str(exc))
+    summary = run_experiment(
+        "ca", cfg, n, runs, start=point_filled(n) if use_points else None,
+        optimum_wealth=optimum, seed=ctx.obj["seed"], jobs=ctx.obj["jobs"])
     out = _out_dir(ctx)
     doc = dataclasses.asdict(summary)
     doc.pop("runs")
@@ -343,8 +341,19 @@ def payoff_map(ctx, in_path):
 def pipeline(ctx, n, iters, tlimit, rule_from, target):
     """Full chain: GA search, template extraction, CA evolution, analysis."""
     seed = ctx.obj["seed"]
+    goal = target
+    if goal is None:
+        if n % 2 == 0:
+            goal = 43 * n * n / 4
+        elif n >= 5:
+            goal = float(tps_formula_odd(n))
     try:
         check_size(n)
+        ga_cfg = GaConfig(max_iterations=iters, target_fitness=goal,
+                          seed=seed)
+        # the templates come from the GA's best; check the rest up front
+        ca_cfg = CaConfig(templates=TemplateSet(()), t_limit=tlimit,
+                          seed=seed)
     except ValueError as exc:
         _fail("pipeline", str(exc))
     out = _out_dir(ctx)
@@ -352,12 +361,6 @@ def pipeline(ctx, n, iters, tlimit, rule_from, target):
                                       "tlimit": tlimit,
                                       "rule_from": rule_from,
                                       "target": target})
-    if target is None:
-        if n % 2 == 0:
-            target = 43 * n * n / 4
-        elif n >= 5:
-            target = float(tps_formula_odd(n))
-    ga_cfg = GaConfig(max_iterations=iters, target_fitness=target, seed=seed)
     ga_res = run_ga(ga_cfg, n)
     master = ga_res.best.pattern
     (out / "pipeline_master.txt").write_text(serialize(master))
@@ -368,8 +371,7 @@ def pipeline(ctx, n, iters, tlimit, rule_from, target):
         ts = builtin_set(int(rule_from))
     (out / "pipeline_templates.txt").write_text(serialize_templates(ts))
 
-    ca_cfg = CaConfig(templates=ts, t_limit=tlimit, seed=seed)
-    ca_res = run_ca(ca_cfg, n=n)
+    ca_res = run_ca(dataclasses.replace(ca_cfg, templates=ts), n=n)
     (out / "pipeline_evolved.txt").write_text(serialize(ca_res.final))
 
     doc = {

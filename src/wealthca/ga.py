@@ -30,6 +30,8 @@ class GaConfig:
             raise ValueError("population size must be >= 2")
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
             raise ValueError("p1 and p2 must be in [0, 1]")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
 
 
 @dataclass(frozen=True)

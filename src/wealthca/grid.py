@@ -1,4 +1,4 @@
-"""Toroidal binary grids: patterns, Moore neighborhoods, symmetries, text I/O."""
+"""Toroidal binary grids: patterns, 3x3 windows, symmetries, text I/O."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# Window order shared by neighborhoods and templates: center first, then the
+# Window order shared by window codes and templates: center first, then the
 # eight outer cells row-major over the 3x3 window.
 MOORE_OFFSETS = (
     (0, 0),
@@ -15,6 +15,10 @@ MOORE_OFFSETS = (
     (0, -1), (0, 1),
     (1, -1), (1, 0), (1, 1),
 )
+
+#: Bit weight of each MOORE_OFFSETS cell in a 9-bit window code: outer cell k
+#: is bit k (the order of Template.outer_code), the center is bit 8.
+WINDOW_WEIGHTS = (256, 1, 2, 4, 8, 16, 32, 64, 128)
 
 #: The eight rotation/reflection operations accepted by :func:`transform`.
 SYMMETRY_OPS = (
@@ -40,14 +44,10 @@ def check_size(n: int) -> None:
 
 @dataclass(frozen=True)
 class Coord:
-    """Grid coordinate. Use :meth:`reduced` to wrap raw indices onto a torus."""
+    """Grid coordinate (row i, column j)."""
 
     i: int
     j: int
-
-    @classmethod
-    def reduced(cls, i: int, j: int, n: int) -> "Coord":
-        return cls(i % n, j % n)
 
 
 @dataclass(frozen=True)
@@ -123,33 +123,6 @@ def pack(cells) -> int:
     return pack_rows(np.frombuffer(bytes(cells), dtype=np.uint8)[None])[0]
 
 
-@dataclass(frozen=True)
-class NeighborhoodConfig:
-    """The nine cell values of a 3x3 window, center first then row-major."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != 9:
-            raise PatternError("neighborhood must have exactly 9 values")
-        if any(v not in (0, 1) for v in self.values):
-            raise PatternError("neighborhood values must be 0 or 1")
-
-    @property
-    def center(self) -> int:
-        return self.values[0]
-
-    @property
-    def outer(self) -> tuple[int, ...]:
-        return self.values[1:]
-
-
-def moore_neighborhood(p: Pattern, c: Coord) -> NeighborhoodConfig:
-    """Read the 3x3 window around c with wrap; the center is value 0."""
-    return NeighborhoodConfig(
-        tuple(p.at(c.i + di, c.j + dj) for di, dj in MOORE_OFFSETS))
-
-
 @lru_cache(maxsize=None)
 def window_indices(n: int) -> np.ndarray:
     """(n*n, 9) flat indices of each cell's 3x3 window, MOORE_OFFSETS order."""
@@ -158,6 +131,15 @@ def window_indices(n: int) -> np.ndarray:
     idx = ((i + di) % n) * n + (j + dj) % n
     idx.setflags(write=False)
     return idx
+
+
+def window_codes(cells, n: int) -> np.ndarray:
+    """9-bit code of each cell's 3x3 window (WINDOW_WEIGHTS), flat row-major.
+
+    cells is any row-major sequence or array of the n*n cell values.
+    """
+    bits = np.asarray(cells, dtype=np.intp).reshape(-1)
+    return bits[window_indices(n)] @ WINDOW_WEIGHTS
 
 
 def _apply_symmetry(arr: np.ndarray, op: str) -> np.ndarray:

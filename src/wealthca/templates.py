@@ -7,7 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Coord, Pattern, PatternError, symmetry_images
+from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Coord, Pattern, PatternError,
+                   symmetry_images, window_codes)
 
 # The 52 canonical templates. T0-T7 suffice for even grid sizes (pure point
 # patterns); T8-T35 add domino-induced neighborhoods; T36-T51 come from the
@@ -89,22 +90,34 @@ class Template:
     def from_rows(cls, rows, label: str = "", family: str = "") -> "Template":
         return cls(tuple(tuple(int(v) for v in r) for r in rows), label, family)
 
+    @classmethod
+    def from_code(cls, code: int) -> "Template":
+        """The template whose window code (see grid.window_codes) is code."""
+        rows = [[0] * 3 for _ in range(3)]
+        for (di, dj), weight in zip(MOORE_OFFSETS, WINDOW_WEIGHTS):
+            rows[di + 1][dj + 1] = int(code & weight != 0)
+        return cls.from_rows(rows)
+
     @property
     def center(self) -> int:
         return self.values[1][1]
 
     def outer(self) -> tuple[int, ...]:
-        """The eight outer cells, row-major (matches neighborhood order)."""
+        """The eight outer cells, row-major; outer cell k is bit k of code."""
         v = self.values
         return (v[0][0], v[0][1], v[0][2], v[1][0], v[1][2],
                 v[2][0], v[2][1], v[2][2])
 
+    @property
+    def code(self) -> int:
+        """9-bit window code in the layout of grid.window_codes."""
+        return sum(weight for (di, dj), weight in zip(MOORE_OFFSETS,
+                                                       WINDOW_WEIGHTS)
+                   if self.values[di + 1][dj + 1])
+
     def outer_code(self) -> int:
         """Outer cells packed into 8 bits, first outer cell = bit 0."""
-        code = 0
-        for k, bit in enumerate(self.outer()):
-            code |= bit << k
-        return code
+        return self.code & 255
 
     def to_array(self) -> np.ndarray:
         return np.array(self.values, dtype=np.uint8)
@@ -143,11 +156,13 @@ class TemplateSet:
 
 
 @lru_cache(maxsize=None)
-def _builtin_templates() -> tuple[Template, ...]:
-    out = []
+def _builtin() -> dict:
+    """The built-in templates in label order, keyed by their cell values."""
+    out = {}
     for label, family, rows in _BUILTIN:
-        out.append(Template.from_rows(rows.split(), label, family))
-    return tuple(out)
+        t = Template.from_rows(rows.split(), label, family)
+        out[t.values] = t
+    return out
 
 
 def builtin_set(variant: int) -> TemplateSet:
@@ -155,14 +170,7 @@ def builtin_set(variant: int) -> TemplateSet:
     if variant not in RULE_SIZES:
         raise ValueError(f"rule variant must be one of {RULE_SIZES}, "
                          f"got {variant}")
-    return TemplateSet(_builtin_templates()[:variant])
-
-
-def _lookup_label(values) -> tuple[str, str]:
-    for t in _builtin_templates():
-        if t.values == values:
-            return t.label, t.family
-    return "", ""
+    return TemplateSet(tuple(_builtin().values())[:variant])
 
 
 def symmetry_orbit(t: Template) -> TemplateSet:
@@ -171,8 +179,7 @@ def symmetry_orbit(t: Template) -> TemplateSet:
     for img in symmetry_images(t.to_array()):
         values = tuple(tuple(int(v) for v in row) for row in img)
         if values not in seen:
-            label, family = _lookup_label(values)
-            seen[values] = Template(values, label, family)
+            seen[values] = _builtin().get(values) or Template(values)
     return TemplateSet(tuple(seen.values()))
 
 
@@ -191,25 +198,22 @@ def complete_under_symmetry(ts: TemplateSet) -> TemplateSet:
 def extract_templates(p: Pattern, complete: bool = True) -> TemplateSet:
     """Collect all distinct 3x3 windows of p; optionally close under symmetry.
 
-    Windows glide over every cell of the torus. Extracted templates reuse the
-    canonical labels where they coincide with built-in templates.
+    Windows glide over every cell of the torus; templates come in the
+    row-major order of each window's first occurrence. Extracted templates
+    reuse the canonical labels where they coincide with built-in templates,
+    the others are labelled X0, X1, ... in that order.
     """
-    arr = p.to_array()
-    n = p.n
-    seen = {}
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            window = tuple(
-                tuple(int(arr[(i + di) % n, (j + dj) % n])
-                      for dj in (-1, 0, 1))
-                for di in (-1, 0, 1))
-            if window not in seen:
-                label, family = _lookup_label(window)
-                seen[window] = Template(window, label or f"X{count}", family)
-                if not label:
-                    count += 1
-    ts = TemplateSet(tuple(seen.values()))
+    codes, first = np.unique(window_codes(p.cells, p.n), return_index=True)
+    out = []
+    fresh = 0
+    for code in codes[np.argsort(first)].tolist():
+        values = Template.from_code(code).values
+        t = _builtin().get(values)
+        if t is None:
+            t = Template(values, f"X{fresh}")
+            fresh += 1
+        out.append(t)
+    ts = TemplateSet(tuple(out))
     return complete_under_symmetry(ts) if complete else ts
 
 

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wealthca.analysis import (ORACLE_MAX_N, brute_force_oracle,
                                construct_optimal_odd, count_dominoes,
@@ -8,9 +10,81 @@ from wealthca.analysis import (ORACLE_MAX_N, brute_force_oracle,
                                tps_formula_odd, wealth_formula_odd)
 from wealthca.ca import CaConfig
 from wealthca.ga import GaConfig
-from wealthca.grid import Coord, Pattern, parse
+from wealthca.grid import Coord, Pattern, parse, transform
 from wealthca.payoff import PayoffParams, cell_total_payoff, tps, wealth
-from wealthca.templates import builtin_set
+from wealthca.templates import (Template, TemplateSet, builtin_set,
+                                complete_under_symmetry, extract_templates)
+
+# Per-cell reference definitions of the whole-grid stencils, read with
+# Pattern.at; the property tests below hold the package to them.
+
+
+def ref_count_points(p):
+    return sum(p.at(i, j) == 1 and all(
+        p.at(i + di, j + dj) == 0 for di in (-1, 0, 1) for dj in (-1, 0, 1)
+        if (di, dj) != (0, 0)) for i in range(p.n) for j in range(p.n))
+
+
+def ref_count_dominoes(p):
+    def clear(i, j, rows, cols, pair):
+        return all(p.at(i + a, j + b) == 0 for a in rows for b in cols
+                   if (a, b) not in pair)
+
+    count = 0
+    for i in range(p.n):
+        for j in range(p.n):
+            if p.at(i, j) and p.at(i, j + 1) and clear(
+                    i, j, (-1, 0, 1), (-1, 0, 1, 2), ((0, 0), (0, 1))):
+                count += 1
+            if p.at(i, j) and p.at(i + 1, j) and clear(
+                    i, j, (-1, 0, 1, 2), (-1, 0, 1), ((0, 0), (1, 0))):
+                count += 1
+    return count
+
+
+def ref_detect_singularities(p):
+    found = []
+    for i in range(p.n):
+        for j in range(p.n):
+            if any(p.at(i + a, j + b) for a in (0, 1) for b in (0, 1)):
+                continue
+            extensions = (((-1, 0), (-1, 1)), ((2, 0), (2, 1)),
+                          ((0, -1), (1, -1)), ((0, 2), (1, 2)))
+            if all(any(p.at(i + a, j + b) for a, b in ext)
+                   for ext in extensions):
+                found.append((i, j))
+    return found
+
+
+def ref_extract_templates(p, complete):
+    seen, count = {}, 0
+    for i in range(p.n):
+        for j in range(p.n):
+            window = tuple(tuple(p.at(i + di, j + dj) for dj in (-1, 0, 1))
+                           for di in (-1, 0, 1))
+            if window not in seen:
+                label, family = next(((t.label, t.family)
+                                      for t in builtin_set(52)
+                                      if t.values == window), ("", ""))
+                seen[window] = Template(window, label or f"X{count}", family)
+                count += not label
+    ts = TemplateSet(tuple(seen.values()))
+    return complete_under_symmetry(ts) if complete else ts
+
+
+def assert_stencils_match_references(p):
+    assert count_points(p) == ref_count_points(p)
+    assert count_dominoes(p) == ref_count_dominoes(p)
+    assert detect_singularities(p) == ref_detect_singularities(p)
+    for complete in (False, True):
+        assert (extract_templates(p, complete).templates
+                == ref_extract_templates(p, complete).templates)
+
+
+random_grids = st.builds(
+    lambda n, density, seed: Pattern.from_array(
+        np.random.default_rng(seed).random((n, n)) < density),
+    st.integers(3, 14), st.floats(0, 1), st.integers(0, 2**32 - 1))
 
 
 class TestStructureCounts:
@@ -40,6 +114,17 @@ class TestStructureCounts:
         assert rep.singularities == 1
         assert rep.ones == 8
         assert rep.zero_cells == 17
+
+
+class TestStencilsMatchPerCellReferences:
+    @given(random_grids)
+    def test_random_grids(self, p):
+        assert_stencils_match_references(p)
+
+    def test_odd_optima(self):
+        for n in range(5, 40, 2):
+            p = transform(construct_optimal_odd(n), "shift", n // 2, n // 3)
+            assert_stencils_match_references(p)
 
 
 class TestOddFormulas:
@@ -73,7 +158,7 @@ class TestConstruction:
         assert rep.ones == 2 * rep.dominoes + rep.points
 
     def test_five_matches_exhaustive_search(self):
-        oracle = brute_force_oracle(5, allow_large=True)
+        oracle = brute_force_oracle(5)
         assert oracle.max_tps == 265.0
         assert oracle.n_optima == 50
         assert tps(construct_optimal_odd(5)) == oracle.max_tps
@@ -131,10 +216,10 @@ class TestOracle:
         assert res.n_optima == scores.count(max(scores))
 
     def test_size_limits(self):
-        with pytest.raises(ValueError):
-            brute_force_oracle(ORACLE_MAX_N + 1)
-        with pytest.raises(ValueError):
-            brute_force_oracle(6, allow_large=True)
+        assert ORACLE_MAX_N == 5
+        for n in (2, ORACLE_MAX_N + 1):
+            with pytest.raises(ValueError):
+                brute_force_oracle(n)
 
 
 class TestSeeds:

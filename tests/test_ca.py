@@ -5,10 +5,10 @@ import pytest
 
 from wealthca.ca import (CaConfig, CaState, _hit_table, generation, init_ca,
                          is_stable, micro_step, run_ca)
-from wealthca.grid import Coord, Pattern
+from wealthca.grid import Coord, Pattern, window_codes
 from wealthca.payoff import wealth
-from wealthca.templates import (builtin_set, extract_templates,
-                                match_except_center)
+from wealthca.templates import (Template, TemplateSet, builtin_set,
+                                extract_templates, match_except_center)
 
 RULE8 = builtin_set(8)
 RULE36 = builtin_set(36)
@@ -91,6 +91,19 @@ class TestMicroStep:
             c = Coord(cell // 7, cell % 7)
             expect = any(match_except_center(p, c, t) for t in RULE36)
             assert state.hits[cell] == int(expect)
+
+    def test_packs_the_window_code_layout(self):
+        # micro_step packs the outer ring inline; at every cell it must hit
+        # the one template whose outer ring is window_codes(...) & 255
+        rng = random.Random(1)
+        cells = [rng.randrange(2) for _ in range(49)]
+        for cell, code in enumerate(window_codes(cells, 7).tolist()):
+            cfg = CaConfig(TemplateSet((Template.from_code(code),)),
+                           selection="sequential", pi_01=0.0, pi_10=0.0)
+            state = CaState(n=7, cells=list(cells), hits=[0] * 49,
+                            cursor=cell)
+            assert not micro_step(state, cfg, rng)
+            assert state.hits[cell] == 1
 
     def test_sequential_cursor_wraps(self):
         cfg = CaConfig(RULE8, selection="sequential", init_density=0.0)

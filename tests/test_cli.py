@@ -79,15 +79,19 @@ class TestBadInput:
     @pytest.mark.parametrize("args", [
         ("ga", "--n", "2"),
         ("ga", "--n", "4", "--pop", "1"),
+        ("ga", "--n", "4", "--pop", "4", "--iters", "-5"),
         ("evolve", "--rule", "8", "--n", "2"),
         ("evolve", "--rule", "8", "--n", "6", "--pi01", "1.5"),
         ("bench", "--rule", "8", "--n", "0"),
+        ("bench", "--rule", "8", "--n", "4", "--runs", "0"),
         ("pipeline", "--n", "2"),
+        ("pipeline", "--n", "3", "--tlimit", "-1"),
+        ("pipeline", "--n", "3", "--iters", "-1"),
     ], ids=lambda args: " ".join(args))
     def test_rejected_before_any_work(self, runner, tmp_path, args):
         res = invoke(runner, tmp_path, *args, expect_exit=1)
         assert json.loads(res.stderr)["error"]["stage"] == args[0]
-        assert not (tmp_path / "manifest.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExtractAnalyzeConstruct:

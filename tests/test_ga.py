@@ -19,6 +19,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             GaConfig(p2=-0.1)
 
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError):
+            GaConfig(max_iterations=-1)
+
 
 class TestOffspring:
     # statistics of the operator ga_step runs, on masks drawn as it draws them

@@ -3,9 +3,9 @@ from hypothesis import given, strategies as st
 
 import numpy as np
 
-from wealthca.grid import (Coord, MOORE_OFFSETS, Pattern, PatternError,
-                           SYMMETRY_OPS, moore_neighborhood, pack, pack_rows,
-                           parse, serialize, transform, window_indices)
+from wealthca.grid import (MOORE_OFFSETS, Pattern, PatternError, SYMMETRY_OPS,
+                           WINDOW_WEIGHTS, pack, pack_rows, parse, serialize,
+                           transform, window_codes, window_indices)
 
 patterns = st.integers(3, 8).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
@@ -33,27 +33,6 @@ class TestPattern:
         assert p[1, 1] == 0
 
 
-class TestMooreNeighborhood:
-    def test_uniform_zero(self):
-        p = Pattern.zeros(5)
-        cfg = moore_neighborhood(p, Coord(2, 3))
-        assert cfg.values == (0,) * 9
-
-    def test_wrap_picks_up_far_corner(self):
-        cells = [0] * 25
-        cells[0] = 1  # (0, 0)
-        p = Pattern(5, tuple(cells))
-        cfg = moore_neighborhood(p, Coord(4, 4))
-        assert sum(cfg.values) == 1
-        assert cfg.values[8] == 1  # (1,1) offset from (4,4) wraps to (0,0)
-
-    def test_point_defector_center_first(self, lattice6):
-        cfg = moore_neighborhood(lattice6, Coord(0, 0))
-        assert cfg.values == (1, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert cfg.center == 1
-        assert cfg.outer == (0,) * 8
-
-
 class TestWindowIndices:
     def test_matches_wrapped_offsets(self):
         for n in (3, 4, 7):
@@ -63,6 +42,27 @@ class TestWindowIndices:
                     assert list(idx[i * n + j]) == [
                         ((i + di) % n) * n + (j + dj) % n
                         for di, dj in MOORE_OFFSETS]
+
+
+class TestWindowCodes:
+    def test_wrap_picks_up_far_corner_center_first(self):
+        cells = [0] * 25
+        cells[0] = 1  # (0, 0)
+        codes = window_codes(cells, 5)
+        assert codes[0] == 256  # the center is bit 8
+        assert codes[4 * 5 + 4] == 128  # offset (1, 1) wraps to (0, 0)
+        assert codes[1] == 8  # offset (0, -1) is outer cell 3
+        assert (codes > 0).sum() == 9
+
+    @given(patterns)
+    def test_bits_follow_the_window_weights(self, p):
+        codes = window_codes(p.cells, p.n)
+        for i in range(p.n):
+            for j in range(p.n):
+                assert codes[i * p.n + j] == sum(
+                    w * p.at(i + di, j + dj)
+                    for (di, dj), w in zip(MOORE_OFFSETS, WINDOW_WEIGHTS))
+        assert (window_codes(p.to_array(), p.n) == codes).all()
 
 
 class TestBitboard:

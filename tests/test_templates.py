@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from wealthca.grid import Coord, Pattern, PatternError
+from wealthca.grid import Coord, Pattern, PatternError, window_codes
 from wealthca.templates import (RULE_SIZES, Template, TemplateSet, builtin_set,
                                 complete_under_symmetry, extract_templates,
                                 match_except_center, match_full,
@@ -57,6 +57,22 @@ class TestTemplate:
         assert t.outer_code() == 1
         t = Template.from_rows(("000", "000", "001"))
         assert t.outer_code() == 128
+
+    def test_code_round_trip(self):
+        for code in range(512):
+            t = Template.from_code(code)
+            assert t.code == code
+            assert Template.from_code(t.code) == t
+            assert t.outer_code() == code & 255
+            assert t.center == code >> 8
+
+    def test_code_is_the_window_code_at_the_center(self):
+        for t in builtin_set(52):
+            cells = [0] * 25
+            for r in range(3):
+                for c in range(3):
+                    cells[(1 + r) * 5 + 1 + c] = t.values[r][c]
+            assert window_codes(cells, 5)[2 * 5 + 2] == t.code
 
     def test_set_rejects_duplicates(self):
         t = builtin_set(8).templates[0]
