@@ -1,14 +1,13 @@
 """Command-line interface covering the whole pipeline.
 
-Every invocation writes a manifest.json next to its outputs so any result
-can be re-derived from the recorded parameters and seed.
+Every successful invocation writes a manifest.json next to its outputs, last,
+so any result can be re-derived from the recorded parameters and seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .analysis import (brute_force_oracle, construct_optimal_odd,
                        structure_report, tps_formula_odd)
 from .ca import CaConfig, run_ca
 from .ga import GaConfig, run_ga
-from .grid import Pattern, PatternError, check_size, parse, serialize
+from .grid import Pattern, PatternError, parse, serialize
 from .payoff import (DEFAULT_PARAMS, characteristic, expected_wealth,
                      total_payoff_grid, wealth)
 from .render import write_ppm
@@ -28,19 +27,13 @@ from .templates import (TemplateSet, builtin_set, extract_templates,
                         serialize_templates)
 
 
-def _fail(stage: str, message: str) -> None:
-    print(json.dumps({"error": {"stage": stage, "message": message}}),
-          file=sys.stderr)
-    sys.exit(1)
-
-
-def _read_pattern(path: str, stage: str) -> Pattern:
+def _read_pattern(path: str) -> Pattern:
     try:
         return parse(Path(path).read_text())
     except FileNotFoundError:
-        _fail(stage, f"input file not found: {path}")
+        raise PatternError(f"input file not found: {path}") from None
     except PatternError as exc:
-        _fail(stage, f"bad pattern file {path}: {exc}")
+        raise PatternError(f"bad pattern file {path}: {exc}") from None
 
 
 def _out_dir(ctx) -> Path:
@@ -49,19 +42,40 @@ def _out_dir(ctx) -> Path:
     return out
 
 
-def _write_manifest(ctx, subcommand: str, params: dict) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "params": params,
-        "seed": ctx.obj["seed"],
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    (_out_dir(ctx) / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n")
+class _Command(click.Command):
+    """A subcommand under the CLI contract.
+
+    A ValueError (PatternError included) or an OSError becomes
+    {"error": {"stage": ..., "message": ...}} on stderr with exit 1. A run
+    that returns normally writes manifest.json last, recording every
+    parameter under its click name. Click's usage errors keep exit 2.
+    """
+
+    def invoke(self, ctx):
+        try:
+            result = super().invoke(ctx)
+            manifest = {
+                "subcommand": ctx.info_name,
+                "params": ctx.params,
+                "seed": ctx.obj["seed"],
+                "version": __version__,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+            }
+            (_out_dir(ctx) / "manifest.json").write_text(
+                json.dumps(manifest, indent=2) + "\n")
+        except (ValueError, OSError) as exc:
+            click.echo(json.dumps({"error": {"stage": ctx.info_name,
+                                             "message": str(exc)}}),
+                       err=True)
+            ctx.exit(1)
+        return result
 
 
-@click.group()
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Master seed; all randomness derives from it.")
 @click.option("--jobs", type=int, default=1, show_default=True,
@@ -87,15 +101,10 @@ def main(ctx, seed, jobs, out_dir):
 @click.pass_context
 def ga(ctx, n, pop, p1, p2, iters, target, top):
     """Search optimal patterns with the genetic algorithm."""
-    try:
-        check_size(n)
-        cfg = GaConfig(population_size=pop, p1=p1, p2=p2,
-                       max_iterations=iters, target_fitness=target,
-                       seed=ctx.obj["seed"])
-    except ValueError as exc:
-        _fail("ga", str(exc))
-    _write_manifest(ctx, "ga", {"n": n, "pop": pop, "p1": p1, "p2": p2,
-                                "iters": iters, "target": target, "top": top})
+    if top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
+    cfg = GaConfig(population_size=pop, p1=p1, p2=p2, max_iterations=iters,
+                   target_fitness=target, seed=ctx.obj["seed"])
     result = run_ga(cfg, n)
     out = _out_dir(ctx)
     for rank, sol in enumerate(result.solutions[:top]):
@@ -127,26 +136,16 @@ def ga(ctx, n, pop, p1, p2, iters, target, top):
 def evolve(ctx, rule, n, tlimit, init_path, init_density, select, pi01, pi10,
            dump_every):
     """Evolve a pattern with the template CA rule."""
-    start = _read_pattern(init_path, "evolve") if init_path else None
-    if start is None and n is None:
-        _fail("evolve", "need --n or --init")
-    try:
-        if start is None:
-            check_size(n)
-        cfg = CaConfig(templates=builtin_set(int(rule)), pi_01=pi01,
-                       pi_10=pi10, selection=select,
-                       init_density=init_density, t_limit=tlimit,
-                       seed=ctx.obj["seed"])
-    except ValueError as exc:
-        _fail("evolve", str(exc))
-    _write_manifest(ctx, "evolve", {
-        "rule": int(rule), "n": n, "tlimit": tlimit, "init": init_path,
-        "init_density": init_density, "select": select,
-        "pi01": pi01, "pi10": pi10, "dump_every": dump_every})
+    if dump_every < 0:
+        raise ValueError(f"dump-every must be >= 0, got {dump_every}")
+    start = _read_pattern(init_path) if init_path else None
+    cfg = CaConfig(templates=builtin_set(int(rule)), pi_01=pi01, pi_10=pi10,
+                   selection=select, init_density=init_density,
+                   t_limit=tlimit, seed=ctx.obj["seed"])
     out = _out_dir(ctx)
 
     def dump(state):
-        if dump_every and state.t % dump_every == 0:
+        if state.t % dump_every == 0:
             (out / f"evolve_t{state.t:05d}.txt").write_text(
                 serialize(state.pattern))
 
@@ -170,13 +169,9 @@ def evolve(ctx, rule, n, tlimit, init_path, init_density, select, pi01, pi10,
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--no-complete", is_flag=True,
               help="Skip symmetry completion of the extracted set.")
-@click.pass_context
-def extract(ctx, in_path, out_path, no_complete):
+def extract(in_path, out_path, no_complete):
     """Extract 3x3 templates from a pattern."""
-    p = _read_pattern(in_path, "extract")
-    _write_manifest(ctx, "extract", {"in": in_path, "out": out_path,
-                                     "complete": not no_complete})
-    ts = extract_templates(p, complete=not no_complete)
+    ts = extract_templates(_read_pattern(in_path), complete=not no_complete)
     Path(out_path).write_text(serialize_templates(ts))
     click.echo(f"{len(ts)} templates")
 
@@ -186,8 +181,7 @@ def extract(ctx, in_path, out_path, no_complete):
 @click.pass_context
 def analyze(ctx, in_path):
     """Report structure counts and the characteristic of a pattern."""
-    p = _read_pattern(in_path, "analyze")
-    _write_manifest(ctx, "analyze", {"in": in_path})
+    p = _read_pattern(in_path)
     rep = structure_report(p)
     cc = characteristic(p)
     doc = {"structure": dataclasses.asdict(rep),
@@ -201,26 +195,19 @@ def analyze(ctx, in_path):
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.pass_context
-def construct(ctx, n, out_path):
+def construct(n, out_path):
     """Build the optimal odd-size pattern in closed form."""
-    try:
-        p = construct_optimal_odd(n)
-    except ValueError as exc:
-        _fail("construct", str(exc))
-    _write_manifest(ctx, "construct", {"n": n, "out": out_path})
-    text = serialize(p)
+    text = serialize(construct_optimal_odd(n))
     if out_path:
         Path(out_path).write_text(text)
     click.echo(text, nl=False)
 
 
 @main.command()
-@click.option("--n", type=click.IntRange(3, 5), required=True)
+@click.option("--n", type=int, required=True)
 @click.pass_context
 def oracle(ctx, n):
     """Exhaustively verify the optimum for a small size."""
-    _write_manifest(ctx, "oracle", {"n": n})
     res = brute_force_oracle(n)
     doc = {"max_tps": res.max_tps, "n_optima": res.n_optima,
            "representatives": [p.rows() for p in res.representatives]}
@@ -243,16 +230,7 @@ def oracle(ctx, n):
 @click.pass_context
 def bench(ctx, rule, n, runs, tlimit, use_points, optimum):
     """Statistics over many independent CA runs."""
-    try:
-        check_size(n)
-        cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit)
-    except ValueError as exc:
-        _fail("bench", str(exc))
-    if runs <= 0:
-        _fail("bench", f"runs must be positive, got {runs}")
-    _write_manifest(ctx, "bench", {
-        "rule": int(rule), "n": n, "runs": runs, "tlimit": tlimit,
-        "point_filled": use_points, "optimum": optimum})
+    cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit)
     summary = run_experiment(
         "ca", cfg, n, runs, start=point_filled(n) if use_points else None,
         optimum_wealth=optimum, seed=ctx.obj["seed"], jobs=ctx.obj["jobs"])
@@ -273,8 +251,7 @@ def bench(ctx, rule, n, runs, tlimit, use_points, optimum):
 def expected_wealth_cmd(ctx, step):
     """Mean-field wealth curve over the cooperation rate, as CSV."""
     if not 0.0 < step <= 1.0:
-        _fail("expected-wealth", f"step must be in (0, 1], got {step}")
-    _write_manifest(ctx, "expected-wealth", {"step": step})
+        raise ValueError(f"step must be in (0, 1], got {step}")
     lines = ["pi_C,W"]
     k = 0
     while True:
@@ -295,18 +272,10 @@ def expected_wealth_cmd(ctx, step):
 @click.option("--scale", type=int, default=1, show_default=True)
 @click.option("--quad", is_flag=True)
 @click.option("--mark-singularities", is_flag=True)
-@click.pass_context
-def render(ctx, in_path, out_path, scale, quad, mark_singularities):
+def render(in_path, out_path, scale, quad, mark_singularities):
     """Render a pattern to a binary PPM image."""
-    p = _read_pattern(in_path, "render")
-    _write_manifest(ctx, "render", {"in": in_path, "out": out_path,
-                                    "scale": scale, "quad": quad,
-                                    "mark_singularities": mark_singularities})
-    try:
-        write_ppm(out_path, p, scale=scale, quad=quad,
-                  mark_singularities=mark_singularities)
-    except OSError as exc:
-        _fail("render", str(exc))
+    write_ppm(out_path, _read_pattern(in_path), scale=scale, quad=quad,
+              mark_singularities=mark_singularities)
     click.echo(out_path)
 
 
@@ -315,9 +284,7 @@ def render(ctx, in_path, out_path, scale, quad, mark_singularities):
 @click.pass_context
 def payoff_map(ctx, in_path):
     """Per-cell total payoffs as a text grid."""
-    p = _read_pattern(in_path, "payoff-map")
-    _write_manifest(ctx, "payoff-map", {"in": in_path})
-    grid = total_payoff_grid(p)
+    grid = total_payoff_grid(_read_pattern(in_path))
     width = max(len(f"{v:g}") for v in grid.reshape(-1))
     text = "\n".join(
         " ".join(f"{v:{width}g}" for v in row) for row in grid) + "\n"
@@ -347,21 +314,11 @@ def pipeline(ctx, n, iters, tlimit, rule_from, target):
             goal = 43 * n * n / 4
         elif n >= 5:
             goal = float(tps_formula_odd(n))
-    try:
-        check_size(n)
-        ga_cfg = GaConfig(max_iterations=iters, target_fitness=goal,
-                          seed=seed)
-        # the templates come from the GA's best; check the rest up front
-        ca_cfg = CaConfig(templates=TemplateSet(()), t_limit=tlimit,
-                          seed=seed)
-    except ValueError as exc:
-        _fail("pipeline", str(exc))
-    out = _out_dir(ctx)
-    _write_manifest(ctx, "pipeline", {"n": n, "iters": iters,
-                                      "tlimit": tlimit,
-                                      "rule_from": rule_from,
-                                      "target": target})
+    ga_cfg = GaConfig(max_iterations=iters, target_fitness=goal, seed=seed)
+    # the templates come from the GA's best; check the rest before any output
+    ca_cfg = CaConfig(templates=TemplateSet(()), t_limit=tlimit, seed=seed)
     ga_res = run_ga(ga_cfg, n)
+    out = _out_dir(ctx)
     master = ga_res.best.pattern
     (out / "pipeline_master.txt").write_text(serialize(master))
 

@@ -43,8 +43,5 @@ def write_ppm(path, p: Pattern, scale: int = 1, quad: bool = False,
               mark_singularities: bool = False) -> None:
     data = ppm_bytes(p, scale=scale, quad=quad,
                      mark_singularities=mark_singularities)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise OSError(f"cannot write image to {path}: {exc}") from exc
+    with open(path, "wb") as fh:
+        fh.write(data)

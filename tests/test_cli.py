@@ -45,6 +45,15 @@ class TestGa:
                 == (out_b / "ga_best_0.txt").read_text())
 
 
+    def test_manifest_records_every_option(self, runner, tmp_path):
+        invoke(runner, tmp_path, "ga", "--n", "4", "--iters", "5", seed=7)
+        doc = manifest(tmp_path)
+        assert doc["subcommand"] == "ga"
+        assert doc["seed"] == 7
+        assert doc["params"] == {"n": 4, "pop": 40, "p1": 0.2, "p2": 0.05,
+                                 "iters": 5, "target": None, "top": 3}
+
+
 class TestEvolve:
     def test_even_grid_run(self, runner, tmp_path):
         res = invoke(runner, tmp_path, "evolve", "--rule", "8", "--n", "6",
@@ -80,17 +89,44 @@ class TestBadInput:
         ("ga", "--n", "2"),
         ("ga", "--n", "4", "--pop", "1"),
         ("ga", "--n", "4", "--pop", "4", "--iters", "-5"),
+        ("ga", "--n", "4", "--pop", "4", "--iters", "3", "--top", "-1"),
         ("evolve", "--rule", "8", "--n", "2"),
         ("evolve", "--rule", "8", "--n", "6", "--pi01", "1.5"),
+        ("evolve", "--rule", "8", "--n", "4", "--tlimit", "2",
+         "--dump-every", "-1"),
         ("bench", "--rule", "8", "--n", "0"),
         ("bench", "--rule", "8", "--n", "4", "--runs", "0"),
         ("pipeline", "--n", "2"),
         ("pipeline", "--n", "3", "--tlimit", "-1"),
         ("pipeline", "--n", "3", "--iters", "-1"),
+        ("oracle", "--n", "6"),
     ], ids=lambda args: " ".join(args))
     def test_rejected_before_any_work(self, runner, tmp_path, args):
         res = invoke(runner, tmp_path, *args, expect_exit=1)
         assert json.loads(res.stderr)["error"]["stage"] == args[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ("render", "--out", "p.ppm", "--scale", "0"),
+        ("extract", "--out", "missing/t.txt"),
+    ], ids=lambda args: " ".join(args))
+    def test_rejected_with_an_input_pattern(self, runner, tmp_path, args):
+        pat = tmp_path / "p.txt"
+        pat.write_text("000\n010\n000\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        stage, flag, name, *rest = args
+        res = invoke(runner, out, stage, "--in", str(pat), flag,
+                     str(out / name), *rest, expect_exit=1)
+        assert json.loads(res.stderr)["error"]["stage"] == stage
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ("oracle",),
+        ("evolve", "--rule", "9", "--n", "4"),
+    ], ids=lambda args: " ".join(args))
+    def test_usage_errors_keep_exit_two(self, runner, tmp_path, args):
+        invoke(runner, tmp_path, *args, expect_exit=2)
         assert list(tmp_path.iterdir()) == []
 
 
