@@ -7,6 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ca import CaConfig, CaRunResult, run_ca
 from .ga import GaConfig, run_ga
@@ -152,15 +153,10 @@ class OracleResult:
 def _canonical_bytes(arr: np.ndarray) -> bytes:
     """Minimal byte string over all shifts x rotations/reflections."""
     n = arr.shape[0]
-    best = None
-    for img in symmetry_images(arr):
-        for di in range(n):
-            rolled = np.roll(img, di, axis=0)
-            for dj in range(n):
-                cand = np.roll(rolled, dj, axis=1).tobytes()
-                if best is None or cand < best:
-                    best = cand
-    return best
+    # every n x n window of an image tiled 2 x 2 is one of its cyclic shifts
+    tiled = np.tile(np.stack(symmetry_images(arr)), (1, 2, 2))
+    shifts = sliding_window_view(tiled, (n, n), axis=(1, 2))[:, :n, :n]
+    return min(map(bytes, shifts.reshape(-1, n * n)))
 
 
 def brute_force_oracle(n: int,
@@ -253,6 +249,8 @@ def run_experiment(kind: str, cfg, n: int, n_runs: int,
         raise ValueError(f"unknown experiment kind {kind!r}")
     if n_runs <= 0:
         raise ValueError("n_runs must be positive")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     start_cells = (start.n, start.cells) if start is not None else None
     seeds = [derive_seed(seed, i) for i in range(n_runs)]
     if jobs > 1:

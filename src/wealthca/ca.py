@@ -185,6 +185,9 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
         if n is None:
             raise ValueError("need a grid size or a start pattern")
         check_size(n)
+    elif n is not None and n != start.n:
+        raise ValueError(f"grid size {n} disagrees with the "
+                         f"{start.n}x{start.n} start pattern")
     rng = random.Random(cfg.seed)
     state = init_ca(cfg, n if n is not None else 0, rng, start)
     area = state.n * state.n

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -71,59 +72,52 @@ _BUILTIN = [
 
 RULE_SIZES = (8, 36, 52)
 
+# Row-major weights of the 3x3 cells in a window code (grid.window_codes).
+_ROW_WEIGHTS = tuple(w for _, w in sorted(zip(MOORE_OFFSETS, WINDOW_WEIGHTS)))
+
 
 @dataclass(frozen=True)
 class Template:
-    """A 3x3 binary stencil with an identifying label."""
+    """A 3x3 binary stencil: its 9-bit window code and a label.
 
-    values: tuple[tuple[int, int, int], ...]
+    code has the layout of grid.window_codes: outer cell k (row-major,
+    center skipped) is bit k and the center is bit 8.
+    """
+
+    code: int
     label: str = ""
     family: str = ""
 
     def __post_init__(self):
-        if len(self.values) != 3 or any(len(r) != 3 for r in self.values):
-            raise PatternError("template must be 3x3")
-        if any(v not in (0, 1) for r in self.values for v in r):
-            raise PatternError("template values must be 0 or 1")
+        if not 0 <= self.code < 512:
+            raise PatternError(f"template code must be in 0..511, "
+                               f"got {self.code}")
 
     @classmethod
     def from_rows(cls, rows, label: str = "", family: str = "") -> "Template":
-        return cls(tuple(tuple(int(v) for v in r) for r in rows), label, family)
+        """The template with the given three rows of 0/1 cells."""
+        rows = [[int(v) for v in r] for r in rows]
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise PatternError("template must be 3x3")
+        cells = [v for r in rows for v in r]
+        if any(v not in (0, 1) for v in cells):
+            raise PatternError("template values must be 0 or 1")
+        return cls(sum(w for w, v in zip(_ROW_WEIGHTS, cells) if v),
+                   label, family)
 
-    @classmethod
-    def from_code(cls, code: int) -> "Template":
-        """The template whose window code (see grid.window_codes) is code."""
-        rows = [[0] * 3 for _ in range(3)]
-        for (di, dj), weight in zip(MOORE_OFFSETS, WINDOW_WEIGHTS):
-            rows[di + 1][dj + 1] = int(code & weight != 0)
-        return cls.from_rows(rows)
+    @property
+    def values(self) -> tuple[tuple[int, int, int], ...]:
+        """The 3x3 cells, row by row."""
+        cells = [int(self.code & w != 0) for w in _ROW_WEIGHTS]
+        return tuple(tuple(cells[k:k + 3]) for k in (0, 3, 6))
 
     @property
     def center(self) -> int:
-        return self.values[1][1]
-
-    def outer(self) -> tuple[int, ...]:
-        """The eight outer cells, row-major; outer cell k is bit k of code."""
-        v = self.values
-        return (v[0][0], v[0][1], v[0][2], v[1][0], v[1][2],
-                v[2][0], v[2][1], v[2][2])
-
-    @property
-    def code(self) -> int:
-        """9-bit window code in the layout of grid.window_codes."""
-        return sum(weight for (di, dj), weight in zip(MOORE_OFFSETS,
-                                                       WINDOW_WEIGHTS)
-                   if self.values[di + 1][dj + 1])
+        return self.code >> 8
 
     def outer_code(self) -> int:
         """Outer cells packed into 8 bits, first outer cell = bit 0."""
         return self.code & 255
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.uint8)
-
-    def same_cells(self, other: "Template") -> bool:
-        return self.values == other.values
 
 
 @dataclass(frozen=True)
@@ -135,9 +129,9 @@ class TemplateSet:
     def __post_init__(self):
         seen = set()
         for t in self.templates:
-            if t.values in seen:
+            if t.code in seen:
                 raise PatternError(f"duplicate template {t.label or t.values}")
-            seen.add(t.values)
+            seen.add(t.code)
 
     def __iter__(self):
         return iter(self.templates)
@@ -146,7 +140,7 @@ class TemplateSet:
         return len(self.templates)
 
     def __contains__(self, t: Template) -> bool:
-        return any(t.values == u.values for u in self.templates)
+        return any(t.code == u.code for u in self.templates)
 
     def values_set(self) -> frozenset:
         return frozenset(t.values for t in self.templates)
@@ -157,12 +151,10 @@ class TemplateSet:
 
 @lru_cache(maxsize=None)
 def _builtin() -> dict:
-    """The built-in templates in label order, keyed by their cell values."""
-    out = {}
-    for label, family, rows in _BUILTIN:
-        t = Template.from_rows(rows.split(), label, family)
-        out[t.values] = t
-    return out
+    """The built-in templates in label order, keyed by their codes."""
+    ts = (Template.from_rows(rows.split(), label, family)
+          for label, family, rows in _BUILTIN)
+    return {t.code: t for t in ts}
 
 
 def builtin_set(variant: int) -> TemplateSet:
@@ -173,47 +165,51 @@ def builtin_set(variant: int) -> TemplateSet:
     return TemplateSet(tuple(_builtin().values())[:variant])
 
 
-def symmetry_orbit(t: Template) -> TemplateSet:
-    """All distinct rotation/reflection images of t, identity included."""
-    seen = {}
-    for img in symmetry_images(t.to_array()):
-        values = tuple(tuple(int(v) for v in row) for row in img)
-        if values not in seen:
-            seen[values] = _builtin().get(values) or Template(values)
-    return TemplateSet(tuple(seen.values()))
+@lru_cache(maxsize=None)
+def _symmetry_codes() -> tuple[tuple[int, ...], ...]:
+    """Per window code: the codes of its eight grid.symmetry_images."""
+    codes = np.arange(512)[:, None]
+    cells = (codes & _ROW_WEIGHTS) != 0  # (512, 9), row-major
+    # each image, applied to the cell positions, is a permutation of them
+    perms = [img.reshape(-1)
+             for img in symmetry_images(np.arange(9).reshape(3, 3))]
+    return tuple(map(tuple, (cells[:, perms] @ _ROW_WEIGHTS).tolist()))
 
 
 def complete_under_symmetry(ts: TemplateSet) -> TemplateSet:
-    """Close a set under the eight symmetries, keeping the original order."""
-    out = list(ts.templates)
-    have = {t.values for t in out}
-    for t in ts.templates:
-        for img in symmetry_orbit(t):
-            if img.values not in have:
-                have.add(img.values)
-                out.append(img)
-    return TemplateSet(tuple(out))
+    """Close a set under the eight symmetries, keeping the original order.
+
+    Images are appended in closure order; they take the built-in label where
+    they are built-in, and otherwise the next X0, X1, ... not yet in use.
+    """
+    out = {t.code: t for t in ts}
+    used = set(ts.labels())
+    fresh = (f"X{k}" for k in count() if f"X{k}" not in used)
+    for t in ts:
+        for code in _symmetry_codes()[t.code]:
+            if code not in out:
+                out[code] = _builtin().get(code) or Template(code, next(fresh))
+    return TemplateSet(tuple(out.values()))
+
+
+def symmetry_orbit(t: Template) -> TemplateSet:
+    """All distinct rotation/reflection images of t, starting with t."""
+    return complete_under_symmetry(TemplateSet((t,)))
 
 
 def extract_templates(p: Pattern, complete: bool = True) -> TemplateSet:
     """Collect all distinct 3x3 windows of p; optionally close under symmetry.
 
     Windows glide over every cell of the torus; templates come in the
-    row-major order of each window's first occurrence. Extracted templates
-    reuse the canonical labels where they coincide with built-in templates,
-    the others are labelled X0, X1, ... in that order.
+    row-major order of each window's first occurrence, followed by their
+    new symmetry images if complete. Extracted templates reuse the canonical
+    labels where they coincide with built-in templates, the others are
+    labelled X0, X1, ... in that order.
     """
     codes, first = np.unique(window_codes(p.cells, p.n), return_index=True)
-    out = []
-    fresh = 0
-    for code in codes[np.argsort(first)].tolist():
-        values = Template.from_code(code).values
-        t = _builtin().get(values)
-        if t is None:
-            t = Template(values, f"X{fresh}")
-            fresh += 1
-        out.append(t)
-    ts = TemplateSet(tuple(out))
+    fresh = (f"X{k}" for k in count())
+    ts = TemplateSet(tuple(_builtin().get(code) or Template(code, next(fresh))
+                           for code in codes[np.argsort(first)].tolist()))
     return complete_under_symmetry(ts) if complete else ts
 
 

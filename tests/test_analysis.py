@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wealthca.analysis import (ORACLE_MAX_N, brute_force_oracle,
+from wealthca.analysis import (ORACLE_MAX_N, _canonical_bytes,
+                               brute_force_oracle,
                                construct_optimal_odd, count_dominoes,
                                count_points, derive_seed, detect_singularities,
                                n_domino_formula, n_point_formula,
@@ -10,10 +11,10 @@ from wealthca.analysis import (ORACLE_MAX_N, brute_force_oracle,
                                tps_formula_odd, wealth_formula_odd)
 from wealthca.ca import CaConfig
 from wealthca.ga import GaConfig
-from wealthca.grid import Coord, Pattern, parse, transform
+from wealthca.grid import Coord, Pattern, parse, symmetry_images, transform
 from wealthca.payoff import PayoffParams, cell_total_payoff, tps, wealth
 from wealthca.templates import (Template, TemplateSet, builtin_set,
-                                complete_under_symmetry, extract_templates)
+                                extract_templates)
 
 # Per-cell reference definitions of the whole-grid stencils, read with
 # Pattern.at; the property tests below hold the package to them.
@@ -57,19 +58,39 @@ def ref_detect_singularities(p):
 
 
 def ref_extract_templates(p, complete):
+    builtin = {t.values: t for t in builtin_set(52)}
     seen, count = {}, 0
+
+    def add(window):
+        nonlocal count
+        if window not in seen:
+            t = builtin.get(window)
+            seen[window] = (Template.from_rows(window, t.label, t.family) if t
+                            else Template.from_rows(window, f"X{count}"))
+            count += t is None
+
     for i in range(p.n):
         for j in range(p.n):
-            window = tuple(tuple(p.at(i + di, j + dj) for dj in (-1, 0, 1))
-                           for di in (-1, 0, 1))
-            if window not in seen:
-                label, family = next(((t.label, t.family)
-                                      for t in builtin_set(52)
-                                      if t.values == window), ("", ""))
-                seen[window] = Template(window, label or f"X{count}", family)
-                count += not label
-    ts = TemplateSet(tuple(seen.values()))
-    return complete_under_symmetry(ts) if complete else ts
+            add(tuple(tuple(p.at(i + di, j + dj) for dj in (-1, 0, 1))
+                      for di in (-1, 0, 1)))
+    if complete:
+        for window in list(seen):
+            for img in symmetry_images(np.array(window)):
+                add(tuple(tuple(row) for row in img.tolist()))
+    return TemplateSet(tuple(seen.values()))
+
+
+def ref_canonical_bytes(arr):
+    n = arr.shape[0]
+    best = None
+    for img in symmetry_images(arr):
+        for di in range(n):
+            rolled = np.roll(img, di, axis=0)
+            for dj in range(n):
+                cand = np.roll(rolled, dj, axis=1).tobytes()
+                if best is None or cand < best:
+                    best = cand
+    return best
 
 
 def assert_stencils_match_references(p):
@@ -215,6 +236,13 @@ class TestOracle:
         assert res.max_tps == max(scores)
         assert res.n_optima == scores.count(max(scores))
 
+    def test_canonical_form_matches_the_shift_loop(self):
+        rng = np.random.default_rng(0)
+        for n in (3, 4, 5):
+            for _ in range(50):
+                arr = (rng.random((n, n)) < rng.random()).astype(np.uint8)
+                assert _canonical_bytes(arr) == ref_canonical_bytes(arr)
+
     def test_size_limits(self):
         assert ORACLE_MAX_N == 5
         for n in (2, ORACLE_MAX_N + 1):
@@ -239,6 +267,9 @@ class TestExperiments:
             run_experiment("ca", cfg, 6, 0)
         with pytest.raises(ValueError):
             run_experiment("annealing", cfg, 6, 5)
+        for jobs in (0, -4):
+            with pytest.raises(ValueError):
+                run_experiment("ca", cfg, 6, 5, jobs=jobs)
 
     def test_ca_summary_consistency(self):
         cfg = CaConfig(builtin_set(8), t_limit=60)

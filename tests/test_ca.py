@@ -98,7 +98,7 @@ class TestMicroStep:
         rng = random.Random(1)
         cells = [rng.randrange(2) for _ in range(49)]
         for cell, code in enumerate(window_codes(cells, 7).tolist()):
-            cfg = CaConfig(TemplateSet((Template.from_code(code),)),
+            cfg = CaConfig(TemplateSet((Template(code),)),
                            selection="sequential", pi_01=0.0, pi_10=0.0)
             state = CaState(n=7, cells=list(cells), hits=[0] * 49,
                             cursor=cell)
@@ -180,6 +180,10 @@ class TestRun:
     def test_requires_size_or_start(self):
         with pytest.raises(ValueError):
             run_ca(CaConfig(RULE8))
+
+    def test_size_must_match_start(self, optimal5):
+        with pytest.raises(ValueError):
+            run_ca(CaConfig(RULE52), n=9, start=optimal5)
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):

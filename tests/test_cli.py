@@ -100,10 +100,15 @@ class TestBadInput:
         ("pipeline", "--n", "3", "--tlimit", "-1"),
         ("pipeline", "--n", "3", "--iters", "-1"),
         ("oracle", "--n", "6"),
+        ("--jobs", "0", "bench", "--rule", "8", "--n", "4", "--runs", "2",
+         "--tlimit", "5"),
+        ("--jobs", "-4", "bench", "--rule", "8", "--n", "4", "--runs", "2",
+         "--tlimit", "5"),
     ], ids=lambda args: " ".join(args))
     def test_rejected_before_any_work(self, runner, tmp_path, args):
         res = invoke(runner, tmp_path, *args, expect_exit=1)
-        assert json.loads(res.stderr)["error"]["stage"] == args[0]
+        stage = next(a for a in args if a in main.commands)
+        assert json.loads(res.stderr)["error"]["stage"] == stage
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
@@ -119,6 +124,16 @@ class TestBadInput:
         res = invoke(runner, out, stage, "--in", str(pat), flag,
                      str(out / name), *rest, expect_exit=1)
         assert json.loads(res.stderr)["error"]["stage"] == stage
+        assert list(out.iterdir()) == []
+
+    def test_size_disagreeing_with_the_start_pattern(self, runner, tmp_path):
+        start = tmp_path / "opt5.txt"
+        start.write_text("00000\n10110\n10000\n00010\n11010\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        res = invoke(runner, out, "evolve", "--rule", "52", "--n", "9",
+                     "--init", str(start), expect_exit=1)
+        assert json.loads(res.stderr)["error"]["stage"] == "evolve"
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("args", [

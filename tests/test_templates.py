@@ -1,9 +1,13 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from wealthca.grid import Coord, Pattern, PatternError, window_codes
-from wealthca.templates import (RULE_SIZES, Template, TemplateSet, builtin_set,
+from wealthca.grid import (Coord, Pattern, PatternError, symmetry_images,
+                           window_codes)
+from wealthca.templates import (RULE_SIZES, Template, TemplateSet,
+                                _symmetry_codes, builtin_set,
                                 complete_under_symmetry, extract_templates,
                                 match_except_center, match_full,
                                 parse_templates, serialize_templates,
@@ -23,7 +27,7 @@ class TestBuiltinSets:
     def test_first_template_is_lone_defector(self):
         t0 = builtin_set(8).templates[0]
         assert t0.values == ((0, 0, 0), (0, 1, 0), (0, 0, 0))
-        assert t0.center == 1 and t0.outer() == (0,) * 8
+        assert t0.center == 1 and t0.outer_code() == 0
 
     def test_last_template(self):
         t51 = builtin_set(52).templates[51]
@@ -45,11 +49,11 @@ class TestBuiltinSets:
 class TestTemplate:
     def test_rejects_non_3x3(self):
         with pytest.raises(PatternError):
-            Template(((0, 1), (1, 0)))
+            Template.from_rows(((0, 1), (1, 0)))
 
     def test_rejects_bad_values(self):
         with pytest.raises(PatternError):
-            Template(((0, 0, 0), (0, 2, 0), (0, 0, 0)))
+            Template.from_rows(((0, 0, 0), (0, 2, 0), (0, 0, 0)))
 
     def test_outer_code_bit_order(self):
         # bit k corresponds to the k-th outer cell in row-major order
@@ -60,9 +64,8 @@ class TestTemplate:
 
     def test_code_round_trip(self):
         for code in range(512):
-            t = Template.from_code(code)
-            assert t.code == code
-            assert Template.from_code(t.code) == t
+            t = Template(code)
+            assert Template.from_rows(t.values) == t
             assert t.outer_code() == code & 255
             assert t.center == code >> 8
 
@@ -74,10 +77,15 @@ class TestTemplate:
                     cells[(1 + r) * 5 + 1 + c] = t.values[r][c]
             assert window_codes(cells, 5)[2 * 5 + 2] == t.code
 
+    def test_rejects_code_out_of_range(self):
+        for code in (-1, 512):
+            with pytest.raises(PatternError):
+                Template(code)
+
     def test_set_rejects_duplicates(self):
         t = builtin_set(8).templates[0]
         with pytest.raises(PatternError):
-            TemplateSet((t, Template(t.values, label="copy")))
+            TemplateSet((t, Template(t.code, label="copy")))
 
 
 class TestSymmetry:
@@ -99,6 +107,18 @@ class TestSymmetry:
         assert orbit.values_set() == frozenset(
             ts.templates[i].values for i in (4, 5, 6, 7))
 
+    def test_code_table_is_the_grid_images(self):
+        for code in range(512):
+            images = symmetry_images(np.array(Template(code).values))
+            assert _symmetry_codes()[code] == tuple(
+                int(window_codes(img, 3)[4]) for img in images)
+
+    def test_orbit_starts_with_the_template(self):
+        x = Template.from_rows(("110", "010", "000"), "X0")
+        orbit = symmetry_orbit(x)
+        assert orbit.templates[0] == x
+        assert len(orbit) == 8 and len(set(orbit.labels())) == 8
+
     def test_builtin_sets_are_symmetry_closed(self):
         for size in RULE_SIZES:
             ts = builtin_set(size)
@@ -109,7 +129,7 @@ class TestSymmetry:
     def test_completion_keeps_original_order(self):
         t = Template.from_rows(("000", "110", "000"), "seed")
         closed = complete_under_symmetry(TemplateSet((t,)))
-        assert closed.templates[0].same_cells(t)
+        assert closed.templates[0].code == t.code
         assert len(closed) == 4  # the four domino-anchor orientations
 
 
@@ -135,6 +155,18 @@ class TestExtraction:
         assert raw.values_set() <= closed.values_set()
         assert closed.values_set() == complete_under_symmetry(raw).values_set()
 
+    def test_every_template_has_a_unique_label(self):
+        # completion adds symmetry images of non-built-in windows; they
+        # continue the X numbering of the windows themselves
+        rng = random.Random(0)
+        p = Pattern(6, tuple(rng.randint(0, 1) for _ in range(36)))
+        raw = extract_templates(p, complete=False)
+        ts = extract_templates(p)
+        labels = ts.labels()
+        assert len(ts) == 164 and "" not in labels
+        assert len(set(labels)) == len(labels)
+        assert ts.templates[:len(raw)] == raw.templates
+
     def test_unknown_windows_get_fresh_labels(self):
         p = Pattern(3, (1, 1, 1, 1, 0, 1, 1, 1, 1))
         ts = extract_templates(p, complete=False)
@@ -158,7 +190,7 @@ class TestMatching:
             window = tuple(tuple(bits[3 * r + c] for c in range(3))
                            for r in range(3))
             outer_and_center = [
-                (t.outer() == Template(window).outer(),
+                (t.outer_code() == Template.from_rows(window).outer_code(),
                  t.values == window) for t in templates]
             for t, (outer_eq, full_eq) in zip(templates, outer_and_center):
                 assert match_except_center(p, center, t) == outer_eq
