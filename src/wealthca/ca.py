@@ -3,17 +3,23 @@
 Each micro time-step updates one cell: if any template matches the cell's
 outer neighborhood, the cell is adjusted to a matching template's center
 value; otherwise noise may flip it. A generation is n^2 micro-steps.
+micro_step is the reference definition of one step. Under random selection
+a generation draws only the micro-steps that change a cell (the n-fold way
+of Bortz, Kalos & Lebowitz, J. Comput. Phys. 17, 1975): the same chain in
+law, without the null steps.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import Pattern, check_size, pack, window_codes, window_indices
+from .grid import (WINDOW_WEIGHTS, Pattern, check_size, pack, window_codes,
+                   window_indices)
 from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
 from .templates import TemplateSet
 
@@ -42,16 +48,24 @@ class CaConfig:
 
 @dataclass
 class CaState:
-    """Mutable per-run state: pattern cells, hit flags, generation counter."""
+    """Mutable per-run state: pattern cells, hit flags, generation counter.
+
+    cells change only through micro_step and generation. hits is written
+    only by micro_step; changes counts the cell flips of both.
+    """
 
     n: int
     cells: list[int]
     hits: list[int]
     t: int = 0
     cursor: int = 0  # next cell under sequential selection
+    changes: int = 0
     # per-run lookup caches, filled on first micro_step
     _match_centers: tuple | None = field(default=None, repr=False, compare=False)
-    _outer: tuple | None = field(default=None, repr=False, compare=False)
+    _windows: tuple | None = field(default=None, repr=False, compare=False)
+    # cells grouped by change probability, kept by random-selection
+    # generations and dropped by any change micro_step makes
+    _buckets: _Buckets | None = field(default=None, repr=False, compare=False)
 
     @property
     def pattern(self) -> Pattern:
@@ -74,6 +88,8 @@ class CaRunResult:
     t_max: int
     stable: bool
     generations: int
+    stop_reason: str  # "stable", "target" or "t_limit"
+    changes: int  # cell flips over the run
     trace: tuple[TraceRow, ...] = field(repr=False)
 
 
@@ -100,10 +116,63 @@ def _hit_table(ts: TemplateSet):
 
 
 @lru_cache(maxsize=None)
-def _outer_flat_indices(n: int):
-    """Per cell: the 8 outer-neighbor flat indices, template bit order."""
-    idx = window_indices(n)[:, 1:]
-    return tuple(tuple(int(v) for v in row) for row in idx)
+def _rate_table(ts: TemplateSet, pi_01: float, pi_10: float):
+    """Change probability of a micro-step, per 9-bit window code.
+
+    Returns (rates, bucket): rates holds the distinct nonzero probabilities
+    (at most four: 1, 1/2, pi_01, pi_10) and a micro-step on a cell whose
+    window code is c changes it with probability rates[bucket[c]], or never
+    when bucket[c] is -1. The probability is the share of outer-matching
+    template centers that differ from the cell, or, when no template
+    matches, pi_01 for a 0 cell and pi_10 for a 1 cell.
+    """
+    match_centers, _ = _hit_table(ts)
+    prob = []
+    for code in range(512):
+        centers, a = match_centers[code & 255], code >> 8
+        if centers:
+            prob.append(sum(c != a for c in centers) / len(centers))
+        else:
+            prob.append(pi_10 if a else pi_01)
+    rates = tuple(sorted(set(prob) - {0.0}, reverse=True))
+    return rates, tuple(rates.index(p) if p else -1 for p in prob)
+
+
+class _Buckets:
+    """Cells grouped by nonzero change probability under one rate table.
+
+    codes[c] is cell c's window code, slot[c] its bucket (-1: rate 0) and
+    pos[c] its index in members[slot[c]]; members lists are kept by
+    swap-remove, so their order is arbitrary.
+    """
+
+    __slots__ = ("table", "codes", "slot", "pos", "members")
+
+    def __init__(self, cells, n: int, table):
+        rates, bucket = table
+        self.table = table
+        self.codes = window_codes(cells, n).tolist()
+        self.slot = [bucket[c] for c in self.codes]
+        self.pos = [0] * (n * n)
+        self.members = [[] for _ in rates]
+        for cell, b in enumerate(self.slot):
+            if b >= 0:
+                self.pos[cell] = len(self.members[b])
+                self.members[b].append(cell)
+
+
+@lru_cache(maxsize=None)
+def _window_flat_indices(n: int):
+    """Per cell: the 9 flat indices of its window, MOORE_OFFSETS order."""
+    index = list(range(n * n))  # one int object per cell, shared by rows
+    return tuple(tuple(map(index.__getitem__, row.tolist()))
+                 for row in window_indices(n))
+
+
+# Flipping a cell toggles these bits in the codes of its window's cells: the
+# center bit of its own code, and for the outer cell in slot k the bit of
+# the point-mirrored slot 7 - k, where that neighbor sees the cell.
+_FLIP_BITS = (WINDOW_WEIGHTS[0], *WINDOW_WEIGHTS[:0:-1])
 
 
 def init_ca(cfg: CaConfig, n: int, rng: random.Random,
@@ -128,38 +197,114 @@ def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
         cell = rng.randrange(n2)
     if state._match_centers is None:
         state._match_centers = _hit_table(cfg.templates)[0]
-        state._outer = _outer_flat_indices(state.n)
-    outer = state._outer[cell]
+        state._windows = _window_flat_indices(state.n)
+    w = state._windows[cell]
     cells = state.cells
-    code = (cells[outer[0]] | cells[outer[1]] << 1 | cells[outer[2]] << 2
-            | cells[outer[3]] << 3 | cells[outer[4]] << 4
-            | cells[outer[5]] << 5 | cells[outer[6]] << 6
-            | cells[outer[7]] << 7)
+    code = (cells[w[1]] | cells[w[2]] << 1 | cells[w[3]] << 2
+            | cells[w[4]] << 3 | cells[w[5]] << 4
+            | cells[w[6]] << 5 | cells[w[7]] << 6
+            | cells[w[8]] << 7)
     centers = state._match_centers[code]
     old = cells[cell]
     if centers:
         state.hits[cell] = 1
         new = centers[0] if len(centers) == 1 else rng.choice(centers)
-        cells[cell] = new
-        return new != old
-    state.hits[cell] = 0
-    if old == 0:
-        if rng.random() < cfg.pi_01:
-            cells[cell] = 1
-            return True
     else:
-        if rng.random() < cfg.pi_10:
-            cells[cell] = 0
-            return True
-    return False
+        state.hits[cell] = 0
+        new = old
+        if rng.random() < (cfg.pi_10 if old else cfg.pi_01):
+            new = 1 - old
+    if new == old:
+        return False
+    cells[cell] = new
+    state.changes += 1
+    state._buckets = None
+    return True
+
+
+def _jump_generation(state: CaState, cfg: CaConfig,
+                     rng: random.Random) -> bool:
+    """n^2 random-selection micro-steps in law, drawing only the changes.
+
+    A micro-step changes a cell with probability p = (sum of the cells'
+    rates) / n^2, and the cell it changes is drawn with probability
+    proportional to its rate (a bucket by weight, then a member uniformly).
+    The null steps before that change are a geometric run, drawn next and
+    independently: if the run reaches the end of the generation, the
+    generation ends with no further change (the run is memoryless).
+    Otherwise the cell flips and the 9 cells whose window holds it move
+    between buckets.
+    """
+    table = _rate_table(cfg.templates, cfg.pi_01, cfg.pi_10)
+    bk = state._buckets
+    if bk is None or bk.table is not table:
+        bk = state._buckets = _Buckets(state.cells, state.n, table)
+    rates, bucket = table
+    codes, slot, pos, members = bk.codes, bk.slot, bk.pos, bk.members
+    cells, windows = state.cells, _window_flat_indices(state.n)
+    uniform, randrange = rng.random, rng.randrange
+    log, log1p = math.log, math.log1p
+    n2 = state.n * state.n
+    left = n2
+    changes = 0
+    while True:
+        total = 0.0
+        for r, m in zip(rates, members):
+            total += r * len(m)
+        if not total:
+            break
+        x = uniform() * total
+        for r, m in zip(rates, members):
+            x -= r * len(m)
+            if x < 0.0:
+                break
+        else:  # x rounded past the last weight
+            m = next(m for m in reversed(members) if m)
+        cell = m[randrange(len(m))]
+        p = total / n2
+        if p >= 1.0:
+            wait = 0.0
+        else:
+            q = log1p(-p)  # 0.0 only when p underflows: no change in reach
+            wait = log(1.0 - uniform()) / q if q else math.inf
+        if wait >= left:
+            break
+        left -= int(wait) + 1
+        cells[cell] ^= 1
+        changes += 1
+        for j, bit in zip(windows[cell], _FLIP_BITS):
+            code = codes[j] ^ bit
+            codes[j] = code
+            new, old = bucket[code], slot[j]
+            if new != old:
+                if old >= 0:
+                    m = members[old]
+                    last = m.pop()
+                    if last != j:
+                        m[pos[j]] = last
+                        pos[last] = pos[j]
+                if new >= 0:
+                    m = members[new]
+                    pos[j] = len(m)
+                    m.append(j)
+                slot[j] = new
+    state.changes += changes
+    return changes > 0
 
 
 def generation(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
-    """Run n^2 micro-steps; returns True if any cell changed."""
-    changed = False
-    for _ in range(state.n * state.n):
-        if micro_step(state, cfg, rng):
-            changed = True
+    """Advance n^2 micro-steps; returns True if any cell changed.
+
+    Sequential selection runs micro_step n^2 times; random selection draws
+    the same chain in law, skipping the null steps (_jump_generation).
+    """
+    if cfg.selection == "random":
+        changed = _jump_generation(state, cfg, rng)
+    else:
+        changed = False
+        for _ in range(state.n * state.n):
+            if micro_step(state, cfg, rng):
+                changed = True
     state.t += 1
     return changed
 
@@ -210,13 +355,22 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
         if on_generation is not None:
             on_generation(state)
 
+    last = trace[-1]
+    if last.stable:
+        stop_reason = "stable"
+    elif cfg.target_tps is not None and last.tps >= cfg.target_tps:
+        stop_reason = "target"
+    else:
+        stop_reason = "t_limit"
     best = max(trace, key=lambda row: row.wealth)
     return CaRunResult(
         final=state.pattern,
-        tps_final=trace[-1].tps,
+        tps_final=last.tps,
         w_max=best.wealth,
         t_max=best.t,
-        stable=trace[-1].stable,
+        stable=last.stable,
         generations=state.t,
+        stop_reason=stop_reason,
+        changes=state.changes,
         trace=tuple(trace),
     )

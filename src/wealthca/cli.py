@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import (brute_force_oracle, construct_optimal_odd,
                        detect_singularities, point_filled, run_experiment,
                        structure_report, tps_formula_odd)
-from .ca import CaConfig, run_ca
+from .ca import CaConfig, CaRunResult, run_ca
 from .ga import GaConfig, run_ga
 from .grid import Pattern, PatternError, parse, serialize
 from .payoff import (DEFAULT_PARAMS, characteristic, expected_wealth,
@@ -40,6 +40,12 @@ def _out_dir(ctx) -> Path:
     out = Path(ctx.obj["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _ca_summary(res: CaRunResult) -> dict:
+    return {"w_max": res.w_max, "t_max": res.t_max, "stable": res.stable,
+            "tps_final": res.tps_final, "stop_reason": res.stop_reason,
+            "changes": res.changes}
 
 
 class _Command(click.Command):
@@ -142,23 +148,22 @@ def evolve(ctx, rule, n, tlimit, init_path, init_density, select, pi01, pi10,
     cfg = CaConfig(templates=builtin_set(int(rule)), pi_01=pi01, pi_10=pi10,
                    selection=select, init_density=init_density,
                    t_limit=tlimit, seed=ctx.obj["seed"])
-    out = _out_dir(ctx)
 
-    def dump(state):
+    def dump(state):  # run_ca calls it only once its input is checked
         if state.t % dump_every == 0:
-            (out / f"evolve_t{state.t:05d}.txt").write_text(
+            (_out_dir(ctx) / f"evolve_t{state.t:05d}.txt").write_text(
                 serialize(state.pattern))
 
     result = run_ca(cfg, n=n, start=start,
                     on_generation=dump if dump_every else None)
+    out = _out_dir(ctx)
     (out / "evolve_final.txt").write_text(serialize(result.final))
     with open(out / "evolve_trace.csv", "w") as fh:
         fh.write("t,tps,wealth,stable\n")
         for row in result.trace:
             fh.write(f"{row.t},{row.tps:g},{row.wealth:.6f},"
                      f"{int(row.stable)}\n")
-    summary = {"w_max": result.w_max, "t_max": result.t_max,
-               "stable": result.stable, "tps_final": result.tps_final}
+    summary = _ca_summary(result)
     (out / "evolve_summary.json").write_text(
         json.dumps(summary, indent=2) + "\n")
     click.echo(json.dumps(summary))
@@ -335,8 +340,7 @@ def pipeline(ctx, n, iters, tlimit, rule_from, target):
         "ga": {"best_tps": ga_res.best_fitness,
                "iterations_used": ga_res.iterations},
         "templates": {"count": len(ts), "labels": ts.labels()},
-        "ca": {"w_max": ca_res.w_max, "t_max": ca_res.t_max,
-               "stable": ca_res.stable, "tps_final": ca_res.tps_final},
+        "ca": _ca_summary(ca_res),
         "analysis": dataclasses.asdict(structure_report(ca_res.final)),
     }
     (out / "pipeline_summary.json").write_text(

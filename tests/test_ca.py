@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wealthca.ca import (CaConfig, CaState, _hit_table, generation, init_ca,
-                         is_stable, micro_step, run_ca)
+from wealthca.ca import (CaConfig, CaState, _Buckets, _hit_table, _rate_table,
+                         generation, init_ca, is_stable, micro_step, run_ca)
 from wealthca.grid import Coord, Pattern, window_codes
 from wealthca.payoff import wealth
 from wealthca.templates import (Template, TemplateSet, builtin_set,
@@ -124,10 +125,13 @@ class TestMicroStep:
                 self.picked.append(v)
                 return v
 
+        # the reference selection law: n^2 micro_step calls, one
+        # randrange each (generation skips the null steps)
         cfg = CaConfig(RULE52, pi_01=0.0, pi_10=0.0)
         rng = Recorder(3)
         state = init_ca(cfg, 30, rng)
-        generation(state, cfg, rng)
+        for _ in range(900):
+            micro_step(state, cfg, rng)
         assert len(rng.picked) == 900
         coverage = len(set(rng.picked)) / 900
         assert coverage == pytest.approx(1 - 1 / math.e, abs=0.05)
@@ -213,17 +217,59 @@ class TestRun:
         assert res.w_max == pytest.approx(387 / 324)
 
     def test_even_grid_reaches_the_point_lattice(self):
-        cfg = CaConfig(RULE8, t_limit=100, seed=3)
+        cfg = CaConfig(RULE8, t_limit=2000, seed=3)
         res = run_ca(cfg, n=6)
         assert res.stable
         assert res.tps_final == 387.0
         assert res.t_max <= res.generations
+        assert res.stop_reason == "stable"
 
     def test_target_tps_truncates(self):
         cfg = CaConfig(RULE8, t_limit=100, seed=3, target_tps=300.0)
         res = run_ca(cfg, n=6)
         assert res.trace[-1].tps >= 300.0
         assert res.generations <= 100
+
+    def test_stop_reason_stable(self, lattice6):
+        res = run_ca(CaConfig(RULE8, t_limit=50, seed=0), start=lattice6)
+        assert (res.stop_reason, res.changes) == ("stable", 0)
+
+    def test_stop_reason_target(self):
+        # rule 36 has no stable pattern at odd n
+        res = run_ca(CaConfig(RULE36, t_limit=100, seed=9, target_tps=855.0),
+                     n=9)
+        assert res.stop_reason == "target"
+        assert res.trace[-1].tps >= 855.0
+        assert all(row.tps < 855.0 for row in res.trace[:-1])
+
+    def test_stop_reason_t_limit(self):
+        res = run_ca(CaConfig(RULE36, t_limit=5, seed=9), n=9)
+        assert res.stop_reason == "t_limit"
+        assert res.generations == 5
+        assert not res.stable
+        res = run_ca(CaConfig(RULE8, t_limit=0, seed=9), n=6)
+        assert (res.stop_reason, res.generations, res.changes) == (
+            "t_limit", 0, 0)
+
+    @pytest.mark.parametrize("selection", ["random", "sequential"])
+    def test_changes_bound_the_net_flips(self, selection):
+        # flips per generation >= cells that differ, with the same parity
+        seen = []
+        cfg = CaConfig(RULE36, t_limit=30, seed=4, selection=selection)
+        res = run_ca(cfg, n=9, on_generation=lambda s: seen.append(
+            (s.cells[:], s.changes)))
+        assert res.changes == seen[-1][1] > 0
+        for (a, flips_a), (b, flips_b) in zip(seen, seen[1:]):
+            diff = sum(x != y for x, y in zip(a, b))
+            assert flips_b - flips_a >= diff
+            assert (flips_b - flips_a - diff) % 2 == 0
+
+    def test_sequential_changes_count_micro_step_changes(self):
+        cfg = CaConfig(RULE52, selection="sequential")
+        rng = random.Random(2)
+        state = init_ca(cfg, 7, rng)
+        flips = sum(micro_step(state, cfg, rng) for _ in range(200))
+        assert state.changes == flips > 0
 
     def test_t_max_is_first_attainment(self):
         cfg = CaConfig(RULE36, t_limit=40, seed=9)
@@ -232,3 +278,102 @@ class TestRun:
         first = next(row.t for row in res.trace if row.wealth == peak)
         assert res.w_max == peak
         assert res.t_max == first
+
+
+def _random_template_set(draw):
+    """An extracted set (ambiguous rings included) or a random code set."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 6))
+        cells = draw(st.lists(st.integers(0, 1), min_size=n * n,
+                              max_size=n * n))
+        return extract_templates(Pattern(n, tuple(cells)),
+                                 complete=draw(st.booleans()))
+    codes = draw(st.sets(st.integers(0, 511), max_size=80))
+    return TemplateSet(tuple(Template(c) for c in sorted(codes)))
+
+
+probabilities = st.one_of(st.just(0.0), st.just(1.0),
+                          st.floats(0.0, 1.0, exclude_min=True,
+                                    exclude_max=True))
+
+
+def assert_buckets_rebuilt(state, table):
+    bk = state._buckets
+    fresh = _Buckets(state.cells, state.n, table)
+    assert bk.codes == fresh.codes == window_codes(state.cells,
+                                                   state.n).tolist()
+    assert bk.slot == fresh.slot
+    assert [sorted(m) for m in bk.members] == fresh.members
+    for cell, b in enumerate(bk.slot):
+        if b >= 0:
+            assert bk.members[b][bk.pos[cell]] == cell
+
+
+class TestJumpGeneration:
+    @given(st.data())
+    def test_rate_table_is_the_micro_step_change_probability(self, data):
+        ts = _random_template_set(data.draw)
+        pi_01, pi_10 = data.draw(probabilities), data.draw(probabilities)
+        rates, bucket = _rate_table(ts, pi_01, pi_10)
+        assert len(rates) <= 4
+        assert all(r > 0 for r in rates)
+        for code in range(512):
+            centers = [t.center for t in ts
+                       if t.outer_code() == code & 255]
+            a = code >> 8
+            if centers:
+                expect = sum(c != a for c in centers) / len(centers)
+            else:
+                expect = pi_10 if a else pi_01
+            got = rates[bucket[code]] if bucket[code] >= 0 else 0.0
+            assert got == expect
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_buckets_match_a_rebuild_after_every_generation(self, data):
+        ts = _random_template_set(data.draw)
+        n = data.draw(st.integers(3, 9))
+        cells = data.draw(st.lists(st.integers(0, 1), min_size=n * n,
+                                   max_size=n * n))
+        cfg = CaConfig(ts, pi_01=data.draw(probabilities),
+                       pi_10=data.draw(probabilities))
+        table = _rate_table(ts, cfg.pi_01, cfg.pi_10)
+        state = CaState(n=n, cells=list(cells), hits=[0] * (n * n))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        for t in range(1, 6):
+            before = state.changes
+            changed = generation(state, cfg, rng)
+            assert state.t == t
+            assert changed == (state.changes > before)
+            assert_buckets_rebuilt(state, table)
+
+    def test_every_micro_step_flips_when_every_rate_is_one(self):
+        cfg = CaConfig(TemplateSet(()), pi_01=1.0, pi_10=1.0)
+        rng = random.Random(8)
+        state = init_ca(cfg, 5, rng)
+        for t in range(1, 4):
+            assert generation(state, cfg, rng)
+            assert state.changes == 25 * t
+
+    def test_micro_step_drops_the_buckets(self):
+        cfg = CaConfig(RULE36, init_density=0.3)
+        rng = random.Random(6)
+        state = init_ca(cfg, 8, rng)
+        generation(state, cfg, rng)
+        assert state._buckets is not None
+        while not micro_step(state, cfg, rng):
+            assert state._buckets is not None
+        assert state._buckets is None
+        generation(state, cfg, rng)
+        assert_buckets_rebuilt(state, _rate_table(RULE36, 0.04, 1.0))
+
+    def test_zero_rates_but_unstable_runs_to_the_limit(self):
+        # no rule-52 template matches an all-ones ring, and without noise
+        # no cell can change: not stable, yet nothing ever moves
+        start = Pattern(5, (1,) * 25)
+        cfg = CaConfig(RULE52, pi_01=0.0, pi_10=0.0, t_limit=30)
+        res = run_ca(cfg, start=start)
+        assert res.generations == 30
+        assert res.final == start
+        assert not res.stable
+        assert (res.stop_reason, res.changes) == ("t_limit", 0)

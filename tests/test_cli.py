@@ -65,6 +65,17 @@ class TestEvolve:
         trace = (tmp_path / "evolve_trace.csv").read_text().splitlines()
         assert trace[0] == "t,tps,wealth,stable"
         assert trace[-1].endswith(",1")
+        doc = json.loads((tmp_path / "evolve_summary.json").read_text())
+        assert doc == summary
+        assert doc["stop_reason"] == "stable"
+        assert doc["changes"] > 0
+
+    def test_summary_reports_the_t_limit(self, runner, tmp_path):
+        res = invoke(runner, tmp_path, "evolve", "--rule", "36", "--n", "9",
+                     "--tlimit", "3", "--select", "sequential")
+        summary = json.loads(res.output)
+        assert summary["stop_reason"] == "t_limit"
+        assert not summary["stable"]
 
     def test_start_pattern_and_dumps(self, runner, tmp_path):
         start = tmp_path / "start.txt"
@@ -135,6 +146,21 @@ class TestBadInput:
                      "--init", str(start), expect_exit=1)
         assert json.loads(res.stderr)["error"]["stage"] == "evolve"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ("--n", "2"),
+        ("--n", "9", "--init", "opt5.txt"),
+    ], ids=lambda args: " ".join(args))
+    def test_evolve_creates_no_out_dir_on_bad_input(self, runner, tmp_path,
+                                                    args):
+        (tmp_path / "opt5.txt").write_text(
+            "00000\n10110\n10000\n00010\n11010\n")
+        args = [str(tmp_path / a) if a.endswith(".txt") else a for a in args]
+        out = tmp_path / "e"
+        res = invoke(runner, out, "evolve", "--rule", "52", "--tlimit", "1",
+                     *args, expect_exit=1)
+        assert json.loads(res.stderr)["error"]["stage"] == "evolve"
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ("oracle",),
@@ -230,5 +256,7 @@ class TestPipeline:
         ts = parse_templates((tmp_path / "pipeline_templates.txt").read_text())
         assert ts.values_set() <= builtin_set(8).values_set()
         assert doc["ca"]["stable"]
+        assert doc["ca"]["stop_reason"] == "stable"
+        assert doc["ca"]["changes"] >= 0
         assert doc["ca"]["tps_final"] == 387.0
         assert doc["analysis"]["points"] == 9
