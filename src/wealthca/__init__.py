@@ -11,7 +11,7 @@ from .ca import CaConfig, CaRunResult, CaState, run_ca
 from .analysis import (ExperimentSummary, OracleResult, StructureReport,
                        brute_force_oracle, construct_optimal_odd,
                        count_dominoes, count_points, detect_singularities,
-                       point_filled, run_experiment, structure_report,
-                       tps_formula_odd, wealth_formula_odd)
+                       optimal_tps, point_filled, run_experiment,
+                       structure_report, tps_formula_odd, wealth_formula_odd)
 
 __version__ = "0.1.0"

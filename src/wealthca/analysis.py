@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ca import CaConfig, CaRunResult, run_ca
+from .ca import CaConfig, run_ca
 from .ga import GaConfig, run_ga
-from .grid import Pattern, symmetry_images, window_codes
+from .grid import Pattern, check_size, symmetry_images, window_codes
 from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count
 
 # Unique 5x5 optimum (up to symmetry), oriented so that border growth below
@@ -112,6 +113,18 @@ def wealth_formula_odd(n: int) -> float:
     return tps_formula_odd(n) / (9 * n * n)
 
 
+def optimal_tps(n: int) -> float | None:
+    """Known optimal TPS at size n (default payoff parameters), or None.
+
+    Even n: the point lattice, 43n²/4. Odd n >= 5: tps_formula_odd. n = 3
+    has no closed form and gives None.
+    """
+    check_size(n)
+    if n % 2 == 0:
+        return 43 * n * n / 4
+    return float(tps_formula_odd(n)) if n >= 5 else None
+
+
 def construct_optimal_odd(n: int) -> Pattern:
     """Build the optimal odd-size pattern by recursive border growth.
 
@@ -135,8 +148,7 @@ def construct_optimal_odd(n: int) -> Pattern:
 
 def point_filled(n: int) -> Pattern:
     """A lattice of isolated points; odd sizes keep the border rows clear."""
-    if n < 3:
-        raise ValueError(f"size must be >= 3, got {n}")
+    check_size(n)
     arr = np.zeros((n, n), dtype=np.uint8)
     limit = n if n % 2 == 0 else n - 2
     arr[0:limit:2, 0:limit:2] = 1
@@ -217,51 +229,45 @@ class ExperimentSummary:
     runs: tuple[tuple[float, int, bool], ...] = field(repr=False)
 
 
-def _one_run(kind: str, cfg, n: int, start_cells, params: PayoffParams,
-             seed: int) -> tuple[float, int, bool]:
+def _one_run(cfg: CaConfig | GaConfig, n: int, start: Pattern | None,
+             params: PayoffParams, seed: int) -> tuple[float, int, bool]:
     """Worker: returns (best wealth, first-attainment time, stable flag)."""
-    if kind == "ca":
-        run_cfg = dataclasses.replace(cfg, seed=seed)
-        start = Pattern(*start_cells) if start_cells is not None else None
-        res: CaRunResult = run_ca(run_cfg, n=n, start=start, params=params)
-        return res.w_max, res.t_max, res.stable
-    if kind == "ga":
-        run_cfg = dataclasses.replace(cfg, seed=seed)
-        res = run_ga(run_cfg, n, params)
-        w = res.best_fitness / (params.k * n * n)
-        return w, res.iterations, False
-    raise ValueError(f"unknown experiment kind {kind!r}")
+    if isinstance(cfg, GaConfig):
+        res = run_ga(dataclasses.replace(cfg, seed=seed), n, params)
+        return res.best_fitness / (params.k * n * n), res.iterations, False
+    res = run_ca(dataclasses.replace(cfg, seed=seed), n=n, start=start,
+                 params=params)
+    return res.w_max, res.t_max, res.stable
 
 
-def run_experiment(kind: str, cfg, n: int, n_runs: int,
+def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
                    params: PayoffParams = DEFAULT_PARAMS,
                    start: Pattern | None = None,
                    optimum_wealth: float | None = None,
                    seed: int = 0, jobs: int = 1) -> ExperimentSummary:
     """n_runs independent seeded runs of the GA or the CA, aggregated.
 
-    Per-run best wealth and its first-attainment time feed the summary
-    statistics; the histogram buckets wealth rounded to 4 decimals. If
-    optimum_wealth is given, n_opt_found counts the runs reaching it
-    (compared after rounding to 4 decimals).
+    The engine follows from cfg: a GaConfig runs the GA, a CaConfig the CA
+    (from start, if given). Per-run best wealth and its first-attainment
+    time feed the summary statistics; the histogram buckets wealth rounded
+    to 4 decimals. If optimum_wealth is given, n_opt_found counts the runs
+    reaching it (compared after rounding to 4 decimals).
     """
-    if kind not in ("ga", "ca"):
-        raise ValueError(f"unknown experiment kind {kind!r}")
+    if not isinstance(cfg, (CaConfig, GaConfig)):
+        raise ValueError(f"experiment config must be a CaConfig or a "
+                         f"GaConfig, got {type(cfg).__name__}")
     if n_runs <= 0:
         raise ValueError("n_runs must be positive")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    start_cells = (start.n, start.cells) if start is not None else None
+    run = functools.partial(_one_run, cfg, n, start, params)
     seeds = [derive_seed(seed, i) for i in range(n_runs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
-                _one_run, [kind] * n_runs, [cfg] * n_runs, [n] * n_runs,
-                [start_cells] * n_runs, [params] * n_runs, seeds,
-                chunksize=max(1, n_runs // (4 * jobs))))
+                run, seeds, chunksize=max(1, n_runs // (4 * jobs))))
     else:
-        results = [_one_run(kind, cfg, n, start_cells, params, s)
-                   for s in seeds]
+        results = list(map(run, seeds))
 
     w_list = [w for w, _, _ in results]
     t_list = [t for _, t, _ in results]
@@ -273,10 +279,10 @@ def run_experiment(kind: str, cfg, n: int, n_runs: int,
     if optimum_wealth is not None:
         target = round(optimum_wealth, 4)
         n_opt = sum(1 for w in w_list if round(w, 4) >= target)
-    t_limit = cfg.t_limit if kind == "ca" else cfg.max_iterations
     return ExperimentSummary(
         n_runs=n_runs,
-        t_limit=t_limit,
+        t_limit=(cfg.max_iterations if isinstance(cfg, GaConfig)
+                 else cfg.t_limit),
         w_max_max=max(w_list),
         w_max_avrg=sum(w_list) / n_runs,
         t_avrg=sum(t_list) / n_runs,

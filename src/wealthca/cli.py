@@ -15,8 +15,8 @@ import click
 
 from . import __version__
 from .analysis import (brute_force_oracle, construct_optimal_odd,
-                       detect_singularities, point_filled, run_experiment,
-                       structure_report, tps_formula_odd)
+                       detect_singularities, optimal_tps, point_filled,
+                       run_experiment, structure_report)
 from .ca import CaConfig, CaRunResult, run_ca
 from .ga import GaConfig, run_ga
 from .grid import Pattern, PatternError, parse, serialize
@@ -230,15 +230,19 @@ def oracle(ctx, n):
 @click.option("--tlimit", type=int, default=100, show_default=True)
 @click.option("--point-filled", "use_points", is_flag=True,
               help="Start every run from the point-filled pattern.")
-@click.option("--optimum", type=float, default=None,
-              help="Wealth counted as optimal in the summary.")
 @click.pass_context
-def bench(ctx, rule, n, runs, tlimit, use_points, optimum):
-    """Statistics over many independent CA runs."""
+def bench(ctx, rule, n, runs, tlimit, use_points):
+    """Statistics over many independent CA runs.
+
+    n_opt_found counts the runs that reach the known optimum for n (null
+    where none is known).
+    """
     cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit)
+    opt = optimal_tps(n)
+    w_opt = None if opt is None else opt / (DEFAULT_PARAMS.k * n * n)
     summary = run_experiment(
-        "ca", cfg, n, runs, start=point_filled(n) if use_points else None,
-        optimum_wealth=optimum, seed=ctx.obj["seed"], jobs=ctx.obj["jobs"])
+        cfg, n, runs, start=point_filled(n) if use_points else None,
+        optimum_wealth=w_opt, seed=ctx.obj["seed"], jobs=ctx.obj["jobs"])
     out = _out_dir(ctx)
     doc = dataclasses.asdict(summary)
     doc.pop("runs")
@@ -313,12 +317,7 @@ def payoff_map(ctx, in_path):
 def pipeline(ctx, n, iters, tlimit, rule_from, target):
     """Full chain: GA search, template extraction, CA evolution, analysis."""
     seed = ctx.obj["seed"]
-    goal = target
-    if goal is None:
-        if n % 2 == 0:
-            goal = 43 * n * n / 4
-        elif n >= 5:
-            goal = float(tps_formula_odd(n))
+    goal = optimal_tps(n) if target is None else target
     ga_cfg = GaConfig(max_iterations=iters, target_fitness=goal, seed=seed)
     # the templates come from the GA's best; check the rest before any output
     ca_cfg = CaConfig(templates=TemplateSet(()), t_limit=tlimit, seed=seed)

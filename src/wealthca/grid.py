@@ -20,13 +20,20 @@ MOORE_OFFSETS = (
 #: is bit k (the order of Template.outer_code), the center is bit 8.
 WINDOW_WEIGHTS = (256, 1, 2, 4, 8, 16, 32, 64, 128)
 
+# The eight rotations/reflections of a square array, by name.
+_SYMMETRIES = {
+    "identity": lambda a: a,
+    "rotate90": lambda a: np.rot90(a, -1),  # clockwise
+    "rotate180": lambda a: np.rot90(a, 2),
+    "rotate270": lambda a: np.rot90(a, 1),
+    "reflect_h": lambda a: a[::-1],  # mirror against the horizontal center line
+    "reflect_v": lambda a: a[:, ::-1],  # ... and the vertical one
+    "transpose": lambda a: a.T,
+    "antitranspose": lambda a: a[::-1, ::-1].T,
+}
+
 #: The eight rotation/reflection operations accepted by :func:`transform`.
-SYMMETRY_OPS = (
-    "identity",
-    "rotate90", "rotate180", "rotate270",
-    "reflect_h", "reflect_v",
-    "transpose", "antitranspose",
-)
+SYMMETRY_OPS = tuple(_SYMMETRIES)
 
 
 class PatternError(ValueError):
@@ -142,26 +149,6 @@ def window_codes(cells, n: int) -> np.ndarray:
     return bits[window_indices(n)] @ WINDOW_WEIGHTS
 
 
-def _apply_symmetry(arr: np.ndarray, op: str) -> np.ndarray:
-    if op == "identity":
-        return arr
-    if op == "rotate90":  # clockwise
-        return np.rot90(arr, -1)
-    if op == "rotate180":
-        return np.rot90(arr, 2)
-    if op == "rotate270":
-        return np.rot90(arr, 1)
-    if op == "reflect_h":  # mirror against the horizontal center line
-        return arr[::-1]
-    if op == "reflect_v":  # mirror against the vertical center line
-        return arr[:, ::-1]
-    if op == "transpose":
-        return arr.T
-    if op == "antitranspose":
-        return arr[::-1, ::-1].T
-    raise ValueError(f"unknown symmetry op {op!r}")
-
-
 def transform(p: Pattern, op: str, di: int = 0, dj: int = 0) -> Pattern:
     """Apply a symmetry operation or a cyclic shift.
 
@@ -170,12 +157,14 @@ def transform(p: Pattern, op: str, di: int = 0, dj: int = 0) -> Pattern:
     if op == "shift":
         arr = np.roll(np.roll(p.to_array(), di, axis=0), dj, axis=1)
         return Pattern.from_array(arr)
-    return Pattern.from_array(_apply_symmetry(p.to_array(), op))
+    if op not in _SYMMETRIES:
+        raise ValueError(f"unknown symmetry op {op!r}")
+    return Pattern.from_array(_SYMMETRIES[op](p.to_array()))
 
 
 def symmetry_images(arr: np.ndarray) -> list[np.ndarray]:
     """All eight rotation/reflection images of a square array."""
-    return [_apply_symmetry(arr, op) for op in SYMMETRY_OPS]
+    return [image(arr) for image in _SYMMETRIES.values()]
 
 
 def parse(text: str) -> Pattern:

@@ -95,14 +95,19 @@ class Template:
 
     @classmethod
     def from_rows(cls, rows, label: str = "", family: str = "") -> "Template":
-        """The template with the given three rows of 0/1 cells."""
-        rows = [[int(v) for v in r] for r in rows]
+        """The template with the given three rows of 0/1 cells.
+
+        Cells are ints or '0'/'1' characters; anything else, or a shape
+        other than 3x3, raises PatternError.
+        """
+        rows = [list(r) for r in rows]
+        shown = ["".join(map(str, r)) for r in rows]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise PatternError("template must be 3x3")
+            raise PatternError(f"template must be 3x3, got {shown}")
         cells = [v for r in rows for v in r]
-        if any(v not in (0, 1) for v in cells):
-            raise PatternError("template values must be 0 or 1")
-        return cls(sum(w for w, v in zip(_ROW_WEIGHTS, cells) if v),
+        if any(v not in (0, 1, "0", "1") for v in cells):
+            raise PatternError(f"template cells must be 0 or 1, got {shown}")
+        return cls(sum(w for w, v in zip(_ROW_WEIGHTS, cells) if int(v)),
                    label, family)
 
     @property
@@ -244,28 +249,13 @@ def serialize_templates(ts: TemplateSet) -> str:
 
 def parse_templates(text: str) -> TemplateSet:
     """Parse blank-line separated 3-line blocks, optional '# label' lines."""
-    out = []
-    block: list[str] = []
-    label = ""
-
-    def flush():
-        nonlocal block, label
-        if not block:
-            return
-        if len(block) != 3 or any(len(l) != 3 for l in block):
-            raise PatternError(f"template block must be 3x3: {block}")
-        out.append(Template.from_rows(block, label))
-        block, label = [], ""
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            flush()
-        elif line.startswith("#"):
+    out, rows, label = [], [], ""
+    for line in [*map(str.strip, text.splitlines()), ""]:
+        if line.startswith("#"):
             label = line.lstrip("#").strip()
-        else:
-            if any(ch not in "01" for ch in line):
-                raise PatternError(f"illegal template line {line!r}")
-            block.append(line)
-    flush()
+        elif line:
+            rows.append(line)
+        elif rows:  # a blank line (or the end) closes the block
+            out.append(Template.from_rows(rows, label))
+            rows, label = [], ""
     return TemplateSet(tuple(out))

@@ -66,7 +66,7 @@ def test_criterion_2_oracle_and_small_ga():
     hits = {}
     for n, optimum in ((3, 91.0), (4, 172.0)):
         cfg = GaConfig(max_iterations=10_000, target_fitness=optimum)
-        summary = run_experiment("ga", cfg, n, 100, seed=ACCEPTANCE_SEED,
+        summary = run_experiment(cfg, n, 100, seed=ACCEPTANCE_SEED,
                                  optimum_wealth=optimum / (9 * n * n))
         hits[n] = summary.n_opt_found
         ok &= summary.n_opt_found >= 95
@@ -79,7 +79,7 @@ def test_criterion_3_ga_reaches_known_optima():
     ok = True
     for n, optimum in ((5, 265.0), (6, 387.0)):
         cfg = GaConfig(max_iterations=10_000, target_fitness=optimum)
-        summary = run_experiment("ga", cfg, n, 100, seed=ACCEPTANCE_SEED,
+        summary = run_experiment(cfg, n, 100, seed=ACCEPTANCE_SEED,
                                  optimum_wealth=optimum / (9 * n * n))
         hits[n] = summary.n_opt_found
         ok &= summary.n_opt_found >= 90
@@ -90,10 +90,10 @@ def test_criterion_3_ga_reaches_known_optima():
 def test_criterion_4_even_rule_convergence():
     rule8 = builtin_set(8)
     cfg6 = CaConfig(rule8, t_limit=2000)
-    s6 = run_experiment("ca", cfg6, 6, 100, seed=ACCEPTANCE_SEED,
+    s6 = run_experiment(cfg6, 6, 100, seed=ACCEPTANCE_SEED,
                         optimum_wealth=387 / 324)
     cfg10 = CaConfig(rule8, t_limit=5000)
-    s10 = run_experiment("ca", cfg10, 10, 100, seed=ACCEPTANCE_SEED,
+    s10 = run_experiment(cfg10, 10, 100, seed=ACCEPTANCE_SEED,
                          optimum_wealth=1075 / 900)
     ok = (s6.n_opt_found == 100 and s6.n_stable == 100
           and 10 <= s6.t_avrg <= 120 and s10.n_opt_found >= 95)
@@ -104,7 +104,7 @@ def test_criterion_4_even_rule_convergence():
 
 def test_criterion_5_full_rule_statistics():
     cfg = CaConfig(builtin_set(52), t_limit=100)
-    s = run_experiment("ca", cfg, 9, 100, seed=ACCEPTANCE_SEED,
+    s = run_experiment(cfg, 9, 100, seed=ACCEPTANCE_SEED,
                        optimum_wealth=865 / 729)
     ok = (s.n_stable == 100 and s.n_opt_found >= 15
           and s.w_max_avrg >= 1.180)
@@ -114,7 +114,7 @@ def test_criterion_5_full_rule_statistics():
 
 def test_criterion_6_transient_rule_statistics():
     cfg = CaConfig(builtin_set(36), t_limit=100)
-    s = run_experiment("ca", cfg, 9, 100, seed=ACCEPTANCE_SEED,
+    s = run_experiment(cfg, 9, 100, seed=ACCEPTANCE_SEED,
                        optimum_wealth=865 / 729)
     worst = min(w for w, _, _ in s.runs)
     ok = s.n_opt_found >= 80 and worst >= 1.1840
@@ -125,7 +125,7 @@ def test_criterion_6_transient_rule_statistics():
 def test_criterion_7_point_filled_large_grid():
     target = 7821.0
     cfg = CaConfig(builtin_set(36), t_limit=60, target_tps=target)
-    s = run_experiment("ca", cfg, 27, 100, seed=ACCEPTANCE_SEED,
+    s = run_experiment(cfg, 27, 100, seed=ACCEPTANCE_SEED,
                        start=point_filled(27),
                        optimum_wealth=target / (9 * 729))
     ok = s.n_opt_found >= 90

@@ -7,11 +7,13 @@ from wealthca.analysis import (ORACLE_MAX_N, _canonical_bytes,
                                construct_optimal_odd, count_dominoes,
                                count_points, derive_seed, detect_singularities,
                                n_domino_formula, n_point_formula,
-                               point_filled, run_experiment, structure_report,
-                               tps_formula_odd, wealth_formula_odd)
+                               optimal_tps, point_filled, run_experiment,
+                               structure_report, tps_formula_odd,
+                               wealth_formula_odd)
 from wealthca.ca import CaConfig
 from wealthca.ga import GaConfig
-from wealthca.grid import Coord, Pattern, parse, symmetry_images, transform
+from wealthca.grid import (Coord, Pattern, PatternError, parse,
+                          symmetry_images, transform)
 from wealthca.payoff import PayoffParams, cell_total_payoff, tps, wealth
 from wealthca.templates import (Template, TemplateSet, builtin_set,
                                 extract_templates)
@@ -204,8 +206,24 @@ class TestPointFilled:
         assert all(p.at(i, 6) == 0 and p.at(6, i) == 0 for i in range(7))
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PatternError):
             point_filled(2)
+
+
+class TestOptimalTps:
+    def test_small_sizes(self):
+        assert optimal_tps(4) == brute_force_oracle(4).max_tps
+        assert optimal_tps(3) is None
+        with pytest.raises(PatternError):
+            optimal_tps(2)
+
+    def test_even_sizes_are_the_point_lattice(self):
+        for n in range(4, 13, 2):
+            assert optimal_tps(n) == tps(point_filled(n))
+
+    def test_odd_sizes_are_the_construction(self):
+        for n in range(5, 16, 2):
+            assert optimal_tps(n) == tps(construct_optimal_odd(n))
 
 
 class TestOracle:
@@ -264,16 +282,18 @@ class TestExperiments:
     def test_validates_inputs(self):
         cfg = CaConfig(builtin_set(8))
         with pytest.raises(ValueError):
-            run_experiment("ca", cfg, 6, 0)
-        with pytest.raises(ValueError):
-            run_experiment("annealing", cfg, 6, 5)
+            run_experiment(cfg, 6, 0)
+        for not_a_config in ("annealing", None, builtin_set(8)):
+            for jobs in (1, 2):
+                with pytest.raises(ValueError, match="CaConfig or a GaConfig"):
+                    run_experiment(not_a_config, 6, 5, jobs=jobs)
         for jobs in (0, -4):
             with pytest.raises(ValueError):
-                run_experiment("ca", cfg, 6, 5, jobs=jobs)
+                run_experiment(cfg, 6, 5, jobs=jobs)
 
     def test_ca_summary_consistency(self):
         cfg = CaConfig(builtin_set(8), t_limit=60)
-        summary = run_experiment("ca", cfg, 6, 10, seed=2,
+        summary = run_experiment(cfg, 6, 10, seed=2,
                                  optimum_wealth=wealth(point_filled(6)))
         assert summary.n_runs == 10
         assert len(summary.runs) == 10
@@ -287,12 +307,18 @@ class TestExperiments:
     def test_ga_experiment_reaches_small_optimum(self):
         cfg = GaConfig(population_size=16, max_iterations=500,
                        target_fitness=91.0)
-        summary = run_experiment("ga", cfg, 3, 5, seed=0,
+        summary = run_experiment(cfg, 3, 5, seed=0,
                                  optimum_wealth=91.0 / 81)
         assert summary.n_opt_found == 5
 
     def test_parallel_matches_serial(self):
-        cfg = CaConfig(builtin_set(8), t_limit=40)
-        a = run_experiment("ca", cfg, 6, 8, seed=7, jobs=1)
-        b = run_experiment("ca", cfg, 6, 8, seed=7, jobs=2)
-        assert a.runs == b.runs
+        for cfg, start in ((CaConfig(builtin_set(8), t_limit=40), None),
+                           (GaConfig(population_size=12, max_iterations=300),
+                            None),
+                           (CaConfig(builtin_set(8), t_limit=20),
+                            point_filled(6))):
+            a = run_experiment(cfg, 6, 8, start=start, seed=7, jobs=1)
+            b = run_experiment(cfg, 6, 8, start=start, seed=7, jobs=2)
+            assert a == b
+        # the stable lattice start is kept from t = 0
+        assert a.runs == ((wealth(start), 0, True),) * 8

@@ -52,8 +52,9 @@ class TestTemplate:
             Template.from_rows(((0, 1), (1, 0)))
 
     def test_rejects_bad_values(self):
-        with pytest.raises(PatternError):
-            Template.from_rows(((0, 0, 0), (0, 2, 0), (0, 0, 0)))
+        for middle in ((0, 2, 0), "0x0", "0 0", "0.5"):
+            with pytest.raises(PatternError):
+                Template.from_rows(((0, 0, 0), middle, (0, 0, 0)))
 
     def test_outer_code_bit_order(self):
         # bit k corresponds to the k-th outer cell in row-major order
@@ -219,5 +220,6 @@ class TestTemplateText:
             parse_templates("010\n000\n")
 
     def test_illegal_character(self):
-        with pytest.raises(PatternError):
-            parse_templates("010\n0x0\n000\n")
+        for middle in ("0x0", "0 0", "0.5"):
+            with pytest.raises(PatternError):
+                parse_templates(f"010\n{middle}\n000\n")
