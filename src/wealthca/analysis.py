@@ -231,27 +231,27 @@ class ExperimentSummary:
 
 def _one_run(cfg: CaConfig | GaConfig, n: int, start: Pattern | None,
              params: PayoffParams, seed: int) -> tuple[float, int, bool]:
-    """Worker: returns (best wealth, first-attainment time, stable flag)."""
+    """Worker: returns (best TPS, first-attainment time, stable flag)."""
     if isinstance(cfg, GaConfig):
         res = run_ga(dataclasses.replace(cfg, seed=seed), n, params)
-        return res.best_fitness / (params.k * n * n), res.iterations, False
+        return res.best_fitness, res.iterations, False
     res = run_ca(dataclasses.replace(cfg, seed=seed), n=n, start=start,
                  params=params)
-    return res.w_max, res.t_max, res.stable
+    return res.trace[res.t_max].tps, res.t_max, res.stable
 
 
 def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
                    params: PayoffParams = DEFAULT_PARAMS,
                    start: Pattern | None = None,
-                   optimum_wealth: float | None = None,
                    seed: int = 0, jobs: int = 1) -> ExperimentSummary:
     """n_runs independent seeded runs of the GA or the CA, aggregated.
 
     The engine follows from cfg: a GaConfig runs the GA, a CaConfig the CA
-    (from start, if given). Per-run best wealth and its first-attainment
-    time feed the summary statistics; the histogram buckets wealth rounded
-    to 4 decimals. If optimum_wealth is given, n_opt_found counts the runs
-    reaching it (compared after rounding to 4 decimals).
+    (from start, if given). Per-run best wealth (best TPS / (K n^2)) and its
+    first-attainment time feed the summary statistics; the histogram buckets
+    wealth rounded to 4 decimals. n_opt_found counts the runs whose best TPS
+    reaches the goal: cfg's target, else optimal_tps(n) for DEFAULT_PARAMS,
+    else None.
     """
     if not isinstance(cfg, (CaConfig, GaConfig)):
         raise ValueError(f"experiment config must be a CaConfig or a "
@@ -269,27 +269,28 @@ def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
     else:
         results = list(map(run, seeds))
 
-    w_list = [w for w, _, _ in results]
-    t_list = [t for _, t, _ in results]
+    bests, t_list, stables = zip(*results)
+    w_list = [best / (params.k * n * n) for best in bests]
     hist: dict[float, int] = {}
     for w in w_list:
         key = round(w, 4)
         hist[key] = hist.get(key, 0) + 1
-    n_opt = None
-    if optimum_wealth is not None:
-        target = round(optimum_wealth, 4)
-        n_opt = sum(1 for w in w_list if round(w, 4) >= target)
+    if isinstance(cfg, GaConfig):
+        t_limit, goal = cfg.max_iterations, cfg.target_fitness
+    else:
+        t_limit, goal = cfg.t_limit, cfg.target_tps
+    if goal is None and params == DEFAULT_PARAMS:
+        goal = optimal_tps(n)
     return ExperimentSummary(
         n_runs=n_runs,
-        t_limit=(cfg.max_iterations if isinstance(cfg, GaConfig)
-                 else cfg.t_limit),
+        t_limit=t_limit,
         w_max_max=max(w_list),
         w_max_avrg=sum(w_list) / n_runs,
         t_avrg=sum(t_list) / n_runs,
         t_min=min(t_list),
         t_max=max(t_list),
-        n_opt_found=n_opt,
-        n_stable=sum(1 for _, _, stable in results if stable),
+        n_opt_found=None if goal is None else sum(b >= goal for b in bests),
+        n_stable=sum(stables),
         wealth_histogram=tuple(sorted(hist.items())),
-        runs=tuple(results),
+        runs=tuple(zip(w_list, t_list, stables)),
     )

@@ -26,6 +26,9 @@ from .templates import TemplateSet
 
 @dataclass(frozen=True)
 class CaConfig:
+    """One CA rule and run setup. It owns the rule's tables, hit_table and
+    rate_table: plain attributes, as a cached property slows micro_step."""
+
     templates: TemplateSet
     pi_01: float = 0.04
     pi_10: float = 1.0
@@ -44,6 +47,9 @@ class CaConfig:
             raise ValueError("t_limit must be >= 0")
         if self.selection not in ("random", "sequential"):
             raise ValueError(f"unknown selection mode {self.selection!r}")
+        object.__setattr__(self, "hit_table", _hit_table(self.templates))
+        object.__setattr__(self, "rate_table", _rate_table(
+            self.templates, self.pi_01, self.pi_10))
 
 
 @dataclass
@@ -60,12 +66,14 @@ class CaState:
     t: int = 0
     cursor: int = 0  # next cell under sequential selection
     changes: int = 0
-    # per-run lookup caches, filled on first micro_step
-    _match_centers: tuple | None = field(default=None, repr=False, compare=False)
-    _windows: tuple | None = field(default=None, repr=False, compare=False)
+    # per cell: its window's flat indices (_window_flat_indices)
+    _windows: tuple = field(init=False, repr=False, compare=False)
     # cells grouped by change probability, kept by random-selection
     # generations and dropped by any change micro_step makes
     _buckets: _Buckets | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._windows = _window_flat_indices(self.n)
 
     @property
     def pattern(self) -> Pattern:
@@ -195,16 +203,13 @@ def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
         state.cursor = (cell + 1) % n2
     else:
         cell = rng.randrange(n2)
-    if state._match_centers is None:
-        state._match_centers = _hit_table(cfg.templates)[0]
-        state._windows = _window_flat_indices(state.n)
     w = state._windows[cell]
     cells = state.cells
     code = (cells[w[1]] | cells[w[2]] << 1 | cells[w[3]] << 2
             | cells[w[4]] << 3 | cells[w[5]] << 4
             | cells[w[6]] << 5 | cells[w[7]] << 6
             | cells[w[8]] << 7)
-    centers = state._match_centers[code]
+    centers = cfg.hit_table[0][code]
     old = cells[cell]
     if centers:
         state.hits[cell] = 1
@@ -235,13 +240,13 @@ def _jump_generation(state: CaState, cfg: CaConfig,
     Otherwise the cell flips and the 9 cells whose window holds it move
     between buckets.
     """
-    table = _rate_table(cfg.templates, cfg.pi_01, cfg.pi_10)
+    table = cfg.rate_table
     bk = state._buckets
     if bk is None or bk.table is not table:
         bk = state._buckets = _Buckets(state.cells, state.n, table)
     rates, bucket = table
     codes, slot, pos, members = bk.codes, bk.slot, bk.pos, bk.members
-    cells, windows = state.cells, _window_flat_indices(state.n)
+    cells, windows = state.cells, state._windows
     uniform, randrange = rng.random, rng.randrange
     log, log1p = math.log, math.log1p
     n2 = state.n * state.n
@@ -312,7 +317,7 @@ def generation(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
 def is_stable(state: CaState, cfg: CaConfig) -> bool:
     """True iff every cell's outer ring matches only templates whose center
     equals the cell (an absorbing state)."""
-    _, full_ok = _hit_table(cfg.templates)
+    _, full_ok = cfg.hit_table
     codes = window_codes(state.cells, state.n)
     return bool(full_ok[codes & 255, codes >> 8].all())
 
@@ -336,32 +341,24 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
     rng = random.Random(cfg.seed)
     state = init_ca(cfg, n if n is not None else 0, rng, start)
     area = state.n * state.n
-
-    def evaluate() -> TraceRow:
+    trace = []
+    while True:
         total = tps_of_bits(pack(state.cells), state.n, params)
-        return TraceRow(state.t, total, total / (params.k * area),
+        last = TraceRow(state.t, total, total / (params.k * area),
                         is_stable(state, cfg))
-
-    trace = [evaluate()]
-    if on_generation is not None:
-        on_generation(state)
-    for _ in range(cfg.t_limit):
-        if trace[-1].stable:
-            break
-        if cfg.target_tps is not None and trace[-1].tps >= cfg.target_tps:
-            break
-        generation(state, cfg, rng)
-        trace.append(evaluate())
+        trace.append(last)
         if on_generation is not None:
             on_generation(state)
-
-    last = trace[-1]
-    if last.stable:
-        stop_reason = "stable"
-    elif cfg.target_tps is not None and last.tps >= cfg.target_tps:
-        stop_reason = "target"
-    else:
-        stop_reason = "t_limit"
+        if last.stable:
+            stop_reason = "stable"
+        elif cfg.target_tps is not None and total >= cfg.target_tps:
+            stop_reason = "target"
+        elif state.t >= cfg.t_limit:
+            stop_reason = "t_limit"
+        else:
+            generation(state, cfg, rng)
+            continue
+        break
     best = max(trace, key=lambda row: row.wealth)
     return CaRunResult(
         final=state.pattern,

@@ -20,8 +20,8 @@ from .analysis import (brute_force_oracle, construct_optimal_odd,
 from .ca import CaConfig, CaRunResult, run_ca
 from .ga import GaConfig, run_ga
 from .grid import Pattern, PatternError, parse, serialize
-from .payoff import (DEFAULT_PARAMS, characteristic, expected_wealth,
-                     total_payoff_grid, wealth)
+from .payoff import (characteristic, expected_wealth, total_payoff_grid,
+                     wealth)
 from .render import write_ppm
 from .templates import (TemplateSet, builtin_set, extract_templates,
                         serialize_templates)
@@ -238,11 +238,9 @@ def bench(ctx, rule, n, runs, tlimit, use_points):
     where none is known).
     """
     cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit)
-    opt = optimal_tps(n)
-    w_opt = None if opt is None else opt / (DEFAULT_PARAMS.k * n * n)
     summary = run_experiment(
         cfg, n, runs, start=point_filled(n) if use_points else None,
-        optimum_wealth=w_opt, seed=ctx.obj["seed"], jobs=ctx.obj["jobs"])
+        seed=ctx.obj["seed"], jobs=ctx.obj["jobs"])
     out = _out_dir(ctx)
     doc = dataclasses.asdict(summary)
     doc.pop("runs")

@@ -74,8 +74,12 @@ class Pattern:
 
     @classmethod
     def from_rows(cls, rows) -> "Pattern":
+        """The pattern of rows of 0/1 ints or '0'/'1' characters."""
         rows = [list(r) for r in rows]
-        return cls(len(rows), tuple(int(v) for row in rows for v in row))
+        cells = [v for r in rows for v in r]
+        if any(v not in (0, 1, "0", "1") for v in cells):
+            raise PatternError("cell values must be 0, 1, '0' or '1'")
+        return cls(len(rows), tuple(map(int, cells)))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Pattern":

@@ -66,8 +66,7 @@ def test_criterion_2_oracle_and_small_ga():
     hits = {}
     for n, optimum in ((3, 91.0), (4, 172.0)):
         cfg = GaConfig(max_iterations=10_000, target_fitness=optimum)
-        summary = run_experiment(cfg, n, 100, seed=ACCEPTANCE_SEED,
-                                 optimum_wealth=optimum / (9 * n * n))
+        summary = run_experiment(cfg, n, 100, seed=ACCEPTANCE_SEED)
         hits[n] = summary.n_opt_found
         ok &= summary.n_opt_found >= 95
     verdict(2, ok, f"exhaustive optima 91/172 in {oracle_time:.1f}s; GA hit "
@@ -79,8 +78,7 @@ def test_criterion_3_ga_reaches_known_optima():
     ok = True
     for n, optimum in ((5, 265.0), (6, 387.0)):
         cfg = GaConfig(max_iterations=10_000, target_fitness=optimum)
-        summary = run_experiment(cfg, n, 100, seed=ACCEPTANCE_SEED,
-                                 optimum_wealth=optimum / (9 * n * n))
+        summary = run_experiment(cfg, n, 100, seed=ACCEPTANCE_SEED)
         hits[n] = summary.n_opt_found
         ok &= summary.n_opt_found >= 90
     verdict(3, ok, f"GA with defaults found 265 on {hits[5]}/100 (n=5) and "
@@ -90,11 +88,9 @@ def test_criterion_3_ga_reaches_known_optima():
 def test_criterion_4_even_rule_convergence():
     rule8 = builtin_set(8)
     cfg6 = CaConfig(rule8, t_limit=2000)
-    s6 = run_experiment(cfg6, 6, 100, seed=ACCEPTANCE_SEED,
-                        optimum_wealth=387 / 324)
+    s6 = run_experiment(cfg6, 6, 100, seed=ACCEPTANCE_SEED)
     cfg10 = CaConfig(rule8, t_limit=5000)
-    s10 = run_experiment(cfg10, 10, 100, seed=ACCEPTANCE_SEED,
-                         optimum_wealth=1075 / 900)
+    s10 = run_experiment(cfg10, 10, 100, seed=ACCEPTANCE_SEED)
     ok = (s6.n_opt_found == 100 and s6.n_stable == 100
           and 10 <= s6.t_avrg <= 120 and s10.n_opt_found >= 95)
     verdict(4, ok, f"rule-8 runs: n=6 optimal {s6.n_opt_found}/100 with mean "
@@ -104,8 +100,7 @@ def test_criterion_4_even_rule_convergence():
 
 def test_criterion_5_full_rule_statistics():
     cfg = CaConfig(builtin_set(52), t_limit=100)
-    s = run_experiment(cfg, 9, 100, seed=ACCEPTANCE_SEED,
-                       optimum_wealth=865 / 729)
+    s = run_experiment(cfg, 9, 100, seed=ACCEPTANCE_SEED)
     ok = (s.n_stable == 100 and s.n_opt_found >= 15
           and s.w_max_avrg >= 1.180)
     verdict(5, ok, f"rule-52 n=9: {s.n_stable}/100 stable, optimum found "
@@ -114,8 +109,7 @@ def test_criterion_5_full_rule_statistics():
 
 def test_criterion_6_transient_rule_statistics():
     cfg = CaConfig(builtin_set(36), t_limit=100)
-    s = run_experiment(cfg, 9, 100, seed=ACCEPTANCE_SEED,
-                       optimum_wealth=865 / 729)
+    s = run_experiment(cfg, 9, 100, seed=ACCEPTANCE_SEED)
     worst = min(w for w, _, _ in s.runs)
     ok = s.n_opt_found >= 80 and worst >= 1.1840
     verdict(6, ok, f"rule-36 n=9: optimum found {s.n_opt_found}/100 times, "
@@ -126,8 +120,7 @@ def test_criterion_7_point_filled_large_grid():
     target = 7821.0
     cfg = CaConfig(builtin_set(36), t_limit=60, target_tps=target)
     s = run_experiment(cfg, 27, 100, seed=ACCEPTANCE_SEED,
-                       start=point_filled(27),
-                       optimum_wealth=target / (9 * 729))
+                       start=point_filled(27))
     ok = s.n_opt_found >= 90
     verdict(7, ok, f"27x27 point-filled start reached TPS {target:g} within "
                    f"60 generations on {s.n_opt_found}/100 seeds")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,7 @@ from wealthca.analysis import (ORACLE_MAX_N, _canonical_bytes,
 from wealthca.ca import CaConfig
 from wealthca.ga import GaConfig
 from wealthca.grid import (Coord, Pattern, PatternError, parse,
-                          symmetry_images, transform)
+                          symmetry_images, transform, window_codes)
 from wealthca.payoff import PayoffParams, cell_total_payoff, tps, wealth
 from wealthca.templates import (Template, TemplateSet, builtin_set,
                                 extract_templates)
@@ -293,8 +295,7 @@ class TestExperiments:
 
     def test_ca_summary_consistency(self):
         cfg = CaConfig(builtin_set(8), t_limit=60)
-        summary = run_experiment(cfg, 6, 10, seed=2,
-                                 optimum_wealth=wealth(point_filled(6)))
+        summary = run_experiment(cfg, 6, 10, seed=2)
         assert summary.n_runs == 10
         assert len(summary.runs) == 10
         ws = [w for w, _, _ in summary.runs]
@@ -307,9 +308,30 @@ class TestExperiments:
     def test_ga_experiment_reaches_small_optimum(self):
         cfg = GaConfig(population_size=16, max_iterations=500,
                        target_fitness=91.0)
-        summary = run_experiment(cfg, 3, 5, seed=0,
-                                 optimum_wealth=91.0 / 81)
+        summary = run_experiment(cfg, 3, 5, seed=0)
         assert summary.n_opt_found == 5
+
+    def test_optimal_runs_are_counted_in_exact_tps(self):
+        # turning a cooperator with exactly two defector neighbours into a
+        # defector costs one TPS unit (c1 + 2 c2 = 7 - 8); at n = 35 that is
+        # less than the 4-decimal rounding step of wealth
+        n = 35
+        cells = list(construct_optimal_odd(n).cells)
+        codes = window_codes(cells, n).tolist()
+        cells[next(c for c, code in enumerate(codes)
+                   if code < 256 and code.bit_count() == 2)] = 1
+        start = Pattern(n, tuple(cells))
+        goal = optimal_tps(n)
+        assert tps(start) == goal - 1
+        assert round(wealth(start), 4) == round(goal / (9 * n * n), 4)
+        cfg = CaConfig(builtin_set(52), t_limit=0)
+
+        def found(cfg, **kw):
+            return run_experiment(cfg, n, 1, start=start, **kw).n_opt_found
+
+        assert found(cfg) == 0
+        assert found(dataclasses.replace(cfg, target_tps=goal - 1)) == 1
+        assert found(cfg, params=PayoffParams(t=4.0)) is None
 
     def test_parallel_matches_serial(self):
         for cfg, start in ((CaConfig(builtin_set(8), t_limit=40), None),

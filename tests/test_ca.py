@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,6 +15,24 @@ from wealthca.templates import (Template, TemplateSet, builtin_set,
 RULE8 = builtin_set(8)
 RULE36 = builtin_set(36)
 RULE52 = builtin_set(52)
+# no templates and no noise: no micro-step can change a cell
+FROZEN = CaConfig(TemplateSet(()), selection="sequential", pi_01=0.0,
+                  pi_10=0.0)
+
+
+def stepped_under_rule8():
+    """An 8x8 state after one random-selection generation and one
+    sequential micro-step under rule 8, where a rule-8 micro-step could
+    still change a cell."""
+    cfg = CaConfig(RULE8, init_density=0.3)
+    rng = random.Random(3)
+    state = init_ca(cfg, 8, rng)
+    generation(state, cfg, rng)
+    micro_step(state, dataclasses.replace(cfg, selection="sequential"), rng)
+    centers = cfg.hit_table[0]
+    assert any(centers[c & 255] and c >> 8 not in centers[c & 255]
+               for c in window_codes(state.cells, 8).tolist())
+    return state, rng
 
 
 class TestConfig:
@@ -106,6 +125,13 @@ class TestMicroStep:
             assert not micro_step(state, cfg, rng)
             assert state.hits[cell] == 1
 
+    def test_follows_the_config_it_is_given(self):
+        state, rng = stepped_under_rule8()
+        before = list(state.cells)
+        for _ in range(200):
+            assert not micro_step(state, FROZEN, rng)
+        assert state.cells == before
+
     def test_sequential_cursor_wraps(self):
         cfg = CaConfig(RULE8, selection="sequential", init_density=0.0)
         rng = random.Random(0)
@@ -174,6 +200,15 @@ class TestGeneration:
         assert not is_stable(state, cfg)
         assert not run_ca(cfg, start=p).stable
         assert generation(state, cfg, random.Random(1))
+
+    @pytest.mark.parametrize("selection", ["random", "sequential"])
+    def test_follows_the_config_it_is_given(self, selection):
+        state, rng = stepped_under_rule8()
+        before = list(state.cells)
+        frozen = dataclasses.replace(FROZEN, selection=selection)
+        for _ in range(3):
+            assert not generation(state, frozen, rng)
+        assert state.cells == before
 
     def test_builtin_rules_have_no_ambiguous_rings(self):
         for ts in (RULE8, RULE36, RULE52):

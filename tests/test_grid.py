@@ -21,6 +21,17 @@ class TestPattern:
         with pytest.raises(PatternError):
             Pattern(3, (0, 1, 2) + (0,) * 6)
 
+    def test_from_rows_reads_ints_and_digits(self):
+        assert (Pattern.from_rows(["010", "000", "001"])
+                == Pattern.from_rows([(0, 1, 0), (0, 0, 0), (0, 0, 1)])
+                == Pattern(3, (0, 1, 0, 0, 0, 0, 0, 0, 1)))
+
+    @pytest.mark.parametrize("rows", [["010", "0x0", "000"],
+                                      [(0, 1, 0), (0, 0.5, 0), (0, 0, 0)]])
+    def test_from_rows_rejects_other_cells(self, rows):
+        with pytest.raises(PatternError, match="cell values"):
+            Pattern.from_rows(rows)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(PatternError):
             Pattern(3, (0,) * 8)
