@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import (WINDOW_WEIGHTS, Pattern, check_size, pack, window_codes,
                    window_indices)
-from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
+from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count, tps_of_bits
 from .templates import TemplateSet
 
 
@@ -57,7 +57,10 @@ class CaState:
     """Mutable per-run state: pattern cells, hit flags, generation counter.
 
     cells change only through micro_step and generation. hits is written
-    only by micro_step; changes counts the cell flips of both.
+    only by micro_step; changes counts the cell flips of both. Under random
+    selection the buckets also count the defectors and defector pairs:
+    run_ca reads each generation's TPS off them, and is_stable answers "not
+    stable" from the bucket sizes, without a pass over the grid.
     """
 
     n: int
@@ -151,22 +154,28 @@ class _Buckets:
 
     codes[c] is cell c's window code, slot[c] its bucket (-1: rate 0) and
     pos[c] its index in members[slot[c]]; members lists are kept by
-    swap-remove, so their order is arbitrary.
+    swap-remove, so their order is arbitrary. ones and pairs are the
+    pattern's defectors and 8-neighbor defector pairs (E of pair_count),
+    so TPS reads off them in O(1).
     """
 
-    __slots__ = ("table", "codes", "slot", "pos", "members")
+    __slots__ = ("table", "codes", "slot", "pos", "members", "ones", "pairs")
 
     def __init__(self, cells, n: int, table):
         rates, bucket = table
         self.table = table
-        self.codes = window_codes(cells, n).tolist()
-        self.slot = [bucket[c] for c in self.codes]
-        self.pos = [0] * (n * n)
-        self.members = [[] for _ in rates]
-        for cell, b in enumerate(self.slot):
-            if b >= 0:
-                self.pos[cell] = len(self.members[b])
-                self.members[b].append(cell)
+        codes = window_codes(cells, n)
+        slot = np.asarray(bucket)[codes]
+        pos = np.zeros(n * n, dtype=np.intp)
+        self.members = []
+        for b in range(len(rates)):
+            m = np.flatnonzero(slot == b)  # ascending cell order
+            pos[m] = np.arange(len(m))
+            self.members.append(m.tolist())
+        self.codes, self.slot, self.pos = (codes.tolist(), slot.tolist(),
+                                           pos.tolist())
+        board = pack(cells)
+        self.ones, self.pairs = board.bit_count(), pair_count(board, n)
 
 
 @lru_cache(maxsize=None)
@@ -237,8 +246,9 @@ def _jump_generation(state: CaState, cfg: CaConfig,
     The null steps before that change are a geometric run, drawn next and
     independently: if the run reaches the end of the generation, the
     generation ends with no further change (the run is memoryless).
-    Otherwise the cell flips and the 9 cells whose window holds it move
-    between buckets.
+    Otherwise the cell flips, ones and pairs move by one and by its
+    defector neighbors, and the 9 cells whose window holds it move between
+    buckets.
     """
     table = cfg.rate_table
     bk = state._buckets
@@ -251,7 +261,7 @@ def _jump_generation(state: CaState, cfg: CaConfig,
     log, log1p = math.log, math.log1p
     n2 = state.n * state.n
     left = n2
-    changes = 0
+    changes, ones, pairs = 0, bk.ones, bk.pairs
     while True:
         total = 0.0
         for r, m in zip(rates, members):
@@ -275,7 +285,11 @@ def _jump_generation(state: CaState, cfg: CaConfig,
         if wait >= left:
             break
         left -= int(wait) + 1
-        cells[cell] ^= 1
+        d = 1 - 2 * cells[cell]  # +1 for a new defector, -1 for a lost one
+        cells[cell] += d
+        ones += d
+        # its defector neighbors, read before its own code changes
+        pairs += d * (codes[cell] & 255).bit_count()
         changes += 1
         for j, bit in zip(windows[cell], _FLIP_BITS):
             code = codes[j] ^ bit
@@ -293,6 +307,7 @@ def _jump_generation(state: CaState, cfg: CaConfig,
                     pos[j] = len(m)
                     m.append(j)
                 slot[j] = new
+    bk.ones, bk.pairs = ones, pairs
     state.changes += changes
     return changes > 0
 
@@ -316,7 +331,16 @@ def generation(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
 
 def is_stable(state: CaState, cfg: CaConfig) -> bool:
     """True iff every cell's outer ring matches only templates whose center
-    equals the cell (an absorbing state)."""
+    equals the cell (an absorbing state).
+
+    Such a cell changes with probability 0, so a stable state leaves every
+    bucket of the rate table empty: while the state's buckets are current,
+    a nonempty one answers False in O(1), and only an empty sampler (stable,
+    or frozen by zero rates) falls through to the full check.
+    """
+    bk = state._buckets
+    if bk is not None and bk.table is cfg.rate_table and any(bk.members):
+        return False
     _, full_ok = cfg.hit_table
     codes = window_codes(state.cells, state.n)
     return bool(full_ok[codes & 255, codes >> 8].all())
@@ -329,7 +353,9 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
 
     The evaluation never influences the evolution. A run ends early once the
     pattern is stable (see is_stable; nothing can change after that) or, if
-    cfg.target_tps is set, once TPS reaches it.
+    cfg.target_tps is set, once TPS reaches it. Under random selection the
+    buckets are built before the first evaluation and TPS is read off their
+    counters, in tps_of_bits's expression, so the values are the same.
     """
     if start is None:
         if n is None:
@@ -340,10 +366,17 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
                          f"{start.n}x{start.n} start pattern")
     rng = random.Random(cfg.seed)
     state = init_ca(cfg, n if n is not None else 0, rng, start)
+    if cfg.selection == "random":
+        state._buckets = _Buckets(state.cells, state.n, cfg.rate_table)
     area = state.n * state.n
+    c0, c1, c2 = params.pair_sum
     trace = []
     while True:
-        total = tps_of_bits(pack(state.cells), state.n, params)
+        bk = state._buckets
+        if bk is not None and bk.table is cfg.rate_table:
+            total = c0 * area + c1 * bk.ones + c2 * bk.pairs
+        else:
+            total = tps_of_bits(pack(state.cells), state.n, params)
         last = TraceRow(state.t, total, total / (params.k * area),
                         is_stable(state, cfg))
         trace.append(last)

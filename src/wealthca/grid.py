@@ -74,8 +74,12 @@ class Pattern:
 
     @classmethod
     def from_rows(cls, rows) -> "Pattern":
-        """The pattern of rows of 0/1 ints or '0'/'1' characters."""
+        """The pattern of n rows of n 0/1 ints or '0'/'1' characters."""
         rows = [list(r) for r in rows]
+        if any(len(r) != len(rows) for r in rows):
+            raise PatternError(f"expected {len(rows)} rows of {len(rows)} "
+                               f"cells, got row lengths "
+                               f"{[len(r) for r in rows]}")
         cells = [v for r in rows for v in r]
         if any(v not in (0, 1, "0", "1") for v in cells):
             raise PatternError("cell values must be 0, 1, '0' or '1'")

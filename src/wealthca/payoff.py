@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,6 +16,12 @@ class PayoffParams:
 
     With self_play a cell also plays against its own state, so K = 9
     opponents out of the 3x3 Moore window; without it K = 8.
+
+    pair_sum = (c0, c1, c2) gives TPS = c0 n^2 + c1 ones + c2 E on any
+    n x n torus, where ones counts defectors and E the 8-neighbor pairs of
+    defectors. Each of the 4n^2 neighbor pairs pays 2R, S + T or 2P for 0,
+    1 or 2 defectors, and there are 8 ones - 2E mixed pairs; with self_play
+    each cell adds R or P against itself. The defaults give 9, 7, -4.
     """
 
     t: float = 3.0
@@ -24,23 +30,18 @@ class PayoffParams:
     s: float = 0.0
     self_play: bool = True
 
+    def __post_init__(self):
+        # pair_sum is a plain attribute, not a field (so not in eq or hash):
+        # a cached property would slow every later attribute read here
+        own = 1.0 if self.self_play else 0.0
+        object.__setattr__(self, "pair_sum", (
+            8 * self.r + own * self.r,
+            8 * (self.s + self.t) - 16 * self.r + own * (self.p - self.r),
+            2 * (self.r + self.p - self.s - self.t)))
+
     @property
     def k(self) -> int:
         return 9 if self.self_play else 8
-
-    @cached_property
-    def pair_sum(self) -> tuple[float, float, float]:
-        """(c0, c1, c2) with TPS = c0 n^2 + c1 ones + c2 E on any n x n torus.
-
-        ones counts defectors and E the 8-neighbor pairs of defectors. Each
-        of the 4n^2 neighbor pairs pays 2R, S + T or 2P for 0, 1 or 2
-        defectors, and there are 8 ones - 2E mixed pairs; with self_play
-        each cell adds R or P against itself. The defaults give 9, 7, -4.
-        """
-        own = 1.0 if self.self_play else 0.0
-        return (8 * self.r + own * self.r,
-                8 * (self.s + self.t) - 16 * self.r + own * (self.p - self.r),
-                2 * (self.r + self.p - self.s - self.t))
 
 
 DEFAULT_PARAMS = PayoffParams()

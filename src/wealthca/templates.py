@@ -127,7 +127,11 @@ class Template:
 
 @dataclass(frozen=True)
 class TemplateSet:
-    """An ordered, duplicate-free collection of templates."""
+    """An ordered, duplicate-free collection of templates.
+
+    The hash, of the template codes, is computed once: sets key the CA's
+    rule-table caches, and equal sets have equal codes.
+    """
 
     templates: tuple[Template, ...]
 
@@ -137,6 +141,11 @@ class TemplateSet:
             if t.code in seen:
                 raise PatternError(f"duplicate template {t.label or t.values}")
             seen.add(t.code)
+        object.__setattr__(self, "_hash",
+                           hash(tuple(t.code for t in self.templates)))
+
+    def __hash__(self):
+        return self._hash
 
     def __iter__(self):
         return iter(self.templates)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from wealthca.ca import (CaConfig, CaState, _Buckets, _hit_table, _rate_table,
                          generation, init_ca, is_stable, micro_step, run_ca)
-from wealthca.grid import Coord, Pattern, window_codes
-from wealthca.payoff import wealth
+from wealthca.grid import Coord, Pattern, pack, window_codes
+from wealthca.payoff import PayoffParams, pair_count, tps, wealth
 from wealthca.templates import (Template, TemplateSet, builtin_set,
                                 extract_templates, match_except_center)
 
@@ -306,6 +306,20 @@ class TestRun:
         flips = sum(micro_step(state, cfg, rng) for _ in range(200))
         assert state.changes == flips > 0
 
+    @pytest.mark.parametrize("params", [
+        PayoffParams(), PayoffParams(t=5.0, r=3.0, p=1.0, self_play=False)])
+    @pytest.mark.parametrize("selection", ["random", "sequential"])
+    def test_trace_tps_is_the_pattern_tps(self, selection, params):
+        # random selection reads TPS off the sampler's counters, sequential
+        # selection off the grid; both must equal the pattern's TPS exactly
+        seen = []
+        cfg = CaConfig(RULE36, t_limit=30, seed=4, selection=selection)
+        res = run_ca(cfg, n=9, params=params,
+                     on_generation=lambda s: seen.append(tps(s.pattern,
+                                                             params)))
+        assert [row.tps for row in res.trace] == seen
+        assert len(set(seen)) > 1
+
     def test_t_max_is_first_attainment(self):
         cfg = CaConfig(RULE36, t_limit=40, seed=9)
         res = run_ca(cfg, n=9)
@@ -339,6 +353,9 @@ def assert_buckets_rebuilt(state, table):
                                                    state.n).tolist()
     assert bk.slot == fresh.slot
     assert [sorted(m) for m in bk.members] == fresh.members
+    board = pack(state.cells)
+    assert bk.ones == fresh.ones == board.bit_count()
+    assert bk.pairs == fresh.pairs == pair_count(board, state.n)
     for cell, b in enumerate(bk.slot):
         if b >= 0:
             assert bk.members[b][bk.pos[cell]] == cell
@@ -381,6 +398,28 @@ class TestJumpGeneration:
             assert state.t == t
             assert changed == (state.changes > before)
             assert_buckets_rebuilt(state, table)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_live_buckets_give_the_full_stable_check(self, data):
+        n = data.draw(st.integers(3, 6))
+        cells = data.draw(st.lists(st.integers(0, 1), min_size=n * n,
+                                   max_size=n * n))
+        if data.draw(st.booleans()):  # every window matches: often stable
+            ts = extract_templates(Pattern(n, tuple(cells)),
+                                   complete=data.draw(st.booleans()))
+        else:
+            ts = _random_template_set(data.draw)
+        cfg = CaConfig(ts, pi_01=data.draw(probabilities),
+                       pi_10=data.draw(probabilities))
+        state = CaState(n=n, cells=list(cells), hits=[0] * (n * n))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        state._buckets = _Buckets(state.cells, n, cfg.rate_table)
+        for _ in range(data.draw(st.integers(0, 3))):
+            generation(state, cfg, rng)  # keeps the buckets current
+        _, full_ok = cfg.hit_table
+        codes = window_codes(state.cells, n)
+        assert is_stable(state, cfg) == full_ok[codes & 255, codes >> 8].all()
 
     def test_every_micro_step_flips_when_every_rate_is_one(self):
         cfg = CaConfig(TemplateSet(()), pi_01=1.0, pi_10=1.0)

@@ -32,6 +32,12 @@ class TestPattern:
         with pytest.raises(PatternError, match="cell values"):
             Pattern.from_rows(rows)
 
+    @pytest.mark.parametrize("rows", [["0101", "00", "000"],
+                                      ["010", "000"], ["01", "00", "00"]])
+    def test_from_rows_rejects_ragged_or_oblong_rows(self, rows):
+        with pytest.raises(PatternError, match="rows of"):
+            Pattern.from_rows(rows)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(PatternError):
             Pattern(3, (0,) * 8)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -114,6 +115,13 @@ class TestKernel:
     def test_default_coefficients(self):
         # TPS = 9 n^2 + 7 ones - 4 E
         assert DEFAULT_PARAMS.pair_sum == (9.0, 7.0, -4.0)
+
+    def test_pair_sum_follows_replace_and_stays_out_of_equality(self):
+        p = dataclasses.replace(DEFAULT_PARAMS, t=5.0, self_play=False)
+        assert p.pair_sum == (8.0, 24.0, -8.0)
+        assert "pair_sum" not in {f.name for f in dataclasses.fields(p)}
+        assert PayoffParams() == DEFAULT_PARAMS
+        assert hash(PayoffParams()) == hash(DEFAULT_PARAMS)
 
     @given(patterns(12), payoff_params)
     def test_matches_scalar_reference(self, p, params):

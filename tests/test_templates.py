@@ -88,6 +88,14 @@ class TestTemplate:
         with pytest.raises(PatternError):
             TemplateSet((t, Template(t.code, label="copy")))
 
+    def test_equal_sets_hash_equal(self, optimal7):
+        a = extract_templates(optimal7)
+        b = TemplateSet(tuple(Template(t.code, t.label, t.family) for t in a))
+        assert a == b and hash(a) == hash(b)
+        assert hash(builtin_set(52)) == hash(builtin_set(52))
+        # labels still count in equality, though not in the hash
+        assert TemplateSet(tuple(Template(t.code) for t in a)) != a
+
 
 class TestSymmetry:
     def test_point_orbit_is_singleton(self):
