@@ -231,7 +231,7 @@ class ExperimentSummary:
 
 def _one_run(cfg: CaConfig | GaConfig, n: int, start: Pattern | None,
              params: PayoffParams, seed: int) -> tuple[float, int, bool]:
-    """Worker: returns (best TPS, first-attainment time, stable flag)."""
+    """Worker: returns (best TPS, its time, stable flag)."""
     if isinstance(cfg, GaConfig):
         res = run_ga(dataclasses.replace(cfg, seed=seed), n, params)
         return res.best_fitness, res.iterations, False
@@ -247,17 +247,20 @@ def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
     """n_runs independent seeded runs of the GA or the CA, aggregated.
 
     The engine follows from cfg: a GaConfig runs the GA, a CaConfig the CA
-    (from start, if given). Per-run best wealth (best TPS / (K n^2)) and its
-    first-attainment time feed the summary statistics; the histogram buckets
-    wealth rounded to 4 decimals. n_opt_found counts the runs whose best TPS
-    reaches the goal: cfg's target, else optimal_tps(n) for DEFAULT_PARAMS,
-    else None.
+    (from start, if given; start is refused for the GA). Per-run best wealth
+    (best TPS / (K n^2)) and its time feed the summary statistics: for the
+    CA the first generation that attains it, for the GA the number of
+    iterations used. The histogram buckets wealth rounded to 4 decimals.
+    n_opt_found counts the runs whose best TPS reaches the goal: cfg's
+    target, else optimal_tps(n) for DEFAULT_PARAMS, else None.
     """
     if not isinstance(cfg, (CaConfig, GaConfig)):
         raise ValueError(f"experiment config must be a CaConfig or a "
                          f"GaConfig, got {type(cfg).__name__}")
     if n_runs <= 0:
         raise ValueError("n_runs must be positive")
+    if start is not None and isinstance(cfg, GaConfig):
+        raise ValueError("the GA takes no start pattern")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     run = functools.partial(_one_run, cfg, n, start, params)

@@ -6,7 +6,8 @@ value; otherwise noise may flip it. A generation is n^2 micro-steps.
 micro_step is the reference definition of one step. Under random selection
 a generation draws only the micro-steps that change a cell (the n-fold way
 of Bortz, Kalos & Lebowitz, J. Comput. Phys. 17, 1975): the same chain in
-law, without the null steps.
+law, without the null steps. Under both selections that sampler (_Buckets)
+holds every cell's window code and the counters TPS is read from.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .grid import (WINDOW_WEIGHTS, Pattern, check_size, pack, window_codes,
                    window_indices)
+# ca does not call tps_of_bits; perfbench's traced mode swaps ca.tps_of_bits
 from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count, tps_of_bits
 from .templates import TemplateSet
 
@@ -56,11 +58,11 @@ class CaConfig:
 class CaState:
     """Mutable per-run state: pattern cells, hit flags, generation counter.
 
-    cells change only through micro_step and generation. hits is written
-    only by micro_step; changes counts the cell flips of both. Under random
-    selection the buckets also count the defectors and defector pairs:
-    run_ca reads each generation's TPS off them, and is_stable answers "not
-    stable" from the bucket sizes, without a pass over the grid.
+    cells change only through micro_step and generation, each flip through
+    _flip, which keeps the sampler current. hits is written only by
+    micro_step; changes counts the cell flips of both. The sampler counts
+    the defectors and defector pairs: run_ca reads each generation's TPS off
+    them, and is_stable answers "not stable" from the bucket sizes.
     """
 
     n: int
@@ -71,8 +73,7 @@ class CaState:
     changes: int = 0
     # per cell: its window's flat indices (_window_flat_indices)
     _windows: tuple = field(init=False, repr=False, compare=False)
-    # cells grouped by change probability, kept by random-selection
-    # generations and dropped by any change micro_step makes
+    # cells grouped by change probability (see _sampler), kept by _flip
     _buckets: _Buckets | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -204,6 +205,46 @@ def init_ca(cfg: CaConfig, n: int, rng: random.Random,
     return CaState(n=n, cells=cells, hits=[0] * (n * n))
 
 
+def _sampler(state: CaState, cfg: CaConfig) -> _Buckets:
+    """The state's sampler under cfg's rate table, rebuilt when it is
+    missing or was built for another table."""
+    bk = state._buckets
+    if bk is None or bk.table is not cfg.rate_table:
+        bk = state._buckets = _Buckets(state.cells, state.n, cfg.rate_table)
+    return bk
+
+
+def _flip(state: CaState, bk: _Buckets, cell: int) -> None:
+    """Flip one cell and keep the sampler current: ones and pairs move by
+    one and by its defector neighbors, and the 9 cells whose window holds
+    it move between buckets."""
+    cells = state.cells
+    codes, slot, pos, members = bk.codes, bk.slot, bk.pos, bk.members
+    bucket = bk.table[1]
+    d = 1 - 2 * cells[cell]  # +1 for a new defector, -1 for a lost one
+    cells[cell] += d
+    bk.ones += d
+    # its defector neighbors, read before its own code changes
+    bk.pairs += d * (codes[cell] & 255).bit_count()
+    state.changes += 1
+    for j, bit in zip(state._windows[cell], _FLIP_BITS):
+        code = codes[j] ^ bit
+        codes[j] = code
+        new, old = bucket[code], slot[j]
+        if new != old:
+            if old >= 0:
+                m = members[old]
+                last = m.pop()
+                if last != j:
+                    m[pos[j]] = last
+                    pos[last] = pos[j]
+            if new >= 0:
+                m = members[new]
+                pos[j] = len(m)
+                m.append(j)
+            slot[j] = new
+
+
 def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
     """Update one cell; returns True if its pattern state changed."""
     n2 = state.n * state.n
@@ -212,14 +253,10 @@ def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
         state.cursor = (cell + 1) % n2
     else:
         cell = rng.randrange(n2)
-    w = state._windows[cell]
-    cells = state.cells
-    code = (cells[w[1]] | cells[w[2]] << 1 | cells[w[3]] << 2
-            | cells[w[4]] << 3 | cells[w[5]] << 4
-            | cells[w[6]] << 5 | cells[w[7]] << 6
-            | cells[w[8]] << 7)
-    centers = cfg.hit_table[0][code]
-    old = cells[cell]
+    bk = _sampler(state, cfg)
+    code = bk.codes[cell]
+    centers = cfg.hit_table[0][code & 255]
+    old = code >> 8
     if centers:
         state.hits[cell] = 1
         new = centers[0] if len(centers) == 1 else rng.choice(centers)
@@ -230,9 +267,7 @@ def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
             new = 1 - old
     if new == old:
         return False
-    cells[cell] = new
-    state.changes += 1
-    state._buckets = None
+    _flip(state, bk, cell)
     return True
 
 
@@ -246,22 +281,15 @@ def _jump_generation(state: CaState, cfg: CaConfig,
     The null steps before that change are a geometric run, drawn next and
     independently: if the run reaches the end of the generation, the
     generation ends with no further change (the run is memoryless).
-    Otherwise the cell flips, ones and pairs move by one and by its
-    defector neighbors, and the 9 cells whose window holds it move between
-    buckets.
+    Otherwise the cell flips (_flip).
     """
-    table = cfg.rate_table
-    bk = state._buckets
-    if bk is None or bk.table is not table:
-        bk = state._buckets = _Buckets(state.cells, state.n, table)
-    rates, bucket = table
-    codes, slot, pos, members = bk.codes, bk.slot, bk.pos, bk.members
-    cells, windows = state.cells, state._windows
+    bk = _sampler(state, cfg)
+    rates, members = bk.table[0], bk.members
     uniform, randrange = rng.random, rng.randrange
     log, log1p = math.log, math.log1p
     n2 = state.n * state.n
     left = n2
-    changes, ones, pairs = 0, bk.ones, bk.pairs
+    before = state.changes
     while True:
         total = 0.0
         for r, m in zip(rates, members):
@@ -285,31 +313,8 @@ def _jump_generation(state: CaState, cfg: CaConfig,
         if wait >= left:
             break
         left -= int(wait) + 1
-        d = 1 - 2 * cells[cell]  # +1 for a new defector, -1 for a lost one
-        cells[cell] += d
-        ones += d
-        # its defector neighbors, read before its own code changes
-        pairs += d * (codes[cell] & 255).bit_count()
-        changes += 1
-        for j, bit in zip(windows[cell], _FLIP_BITS):
-            code = codes[j] ^ bit
-            codes[j] = code
-            new, old = bucket[code], slot[j]
-            if new != old:
-                if old >= 0:
-                    m = members[old]
-                    last = m.pop()
-                    if last != j:
-                        m[pos[j]] = last
-                        pos[last] = pos[j]
-                if new >= 0:
-                    m = members[new]
-                    pos[j] = len(m)
-                    m.append(j)
-                slot[j] = new
-    bk.ones, bk.pairs = ones, pairs
-    state.changes += changes
-    return changes > 0
+        _flip(state, bk, cell)
+    return state.changes > before
 
 
 def generation(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
@@ -334,15 +339,15 @@ def is_stable(state: CaState, cfg: CaConfig) -> bool:
     equals the cell (an absorbing state).
 
     Such a cell changes with probability 0, so a stable state leaves every
-    bucket of the rate table empty: while the state's buckets are current,
-    a nonempty one answers False in O(1), and only an empty sampler (stable,
-    or frozen by zero rates) falls through to the full check.
+    bucket of the sampler empty: a nonempty one answers False in O(1), and
+    only an empty sampler (stable, or frozen by zero rates) runs the full
+    check on its window codes.
     """
-    bk = state._buckets
-    if bk is not None and bk.table is cfg.rate_table and any(bk.members):
+    bk = _sampler(state, cfg)
+    if any(bk.members):
         return False
     _, full_ok = cfg.hit_table
-    codes = window_codes(state.cells, state.n)
+    codes = np.asarray(bk.codes)
     return bool(full_ok[codes & 255, codes >> 8].all())
 
 
@@ -353,9 +358,9 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
 
     The evaluation never influences the evolution. A run ends early once the
     pattern is stable (see is_stable; nothing can change after that) or, if
-    cfg.target_tps is set, once TPS reaches it. Under random selection the
-    buckets are built before the first evaluation and TPS is read off their
-    counters, in tps_of_bits's expression, so the values are the same.
+    cfg.target_tps is set, once TPS reaches it. TPS is read off the
+    sampler's counters, in tps_of_bits's expression, so the values are the
+    same.
     """
     if start is None:
         if n is None:
@@ -366,17 +371,12 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
                          f"{start.n}x{start.n} start pattern")
     rng = random.Random(cfg.seed)
     state = init_ca(cfg, n if n is not None else 0, rng, start)
-    if cfg.selection == "random":
-        state._buckets = _Buckets(state.cells, state.n, cfg.rate_table)
+    bk = _sampler(state, cfg)
     area = state.n * state.n
     c0, c1, c2 = params.pair_sum
     trace = []
     while True:
-        bk = state._buckets
-        if bk is not None and bk.table is cfg.rate_table:
-            total = c0 * area + c1 * bk.ones + c2 * bk.pairs
-        else:
-            total = tps_of_bits(pack(state.cells), state.n, params)
+        total = c0 * area + c1 * bk.ones + c2 * bk.pairs
         last = TraceRow(state.t, total, total / (params.k * area),
                         is_stable(state, cfg))
         trace.append(last)

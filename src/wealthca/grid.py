@@ -93,6 +93,9 @@ class Pattern:
     @classmethod
     def from_board(cls, n: int, board: int) -> "Pattern":
         """Inverse of pack: the n x n pattern of a bitboard."""
+        if not 0 <= board < 1 << (n * n):
+            raise PatternError(f"a {n}x{n} board must be in [0, 2^{n * n}), "
+                               f"got {board}")
         data = board.to_bytes((n * n + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                              count=n * n, bitorder="little")

@@ -292,6 +292,9 @@ class TestExperiments:
         for jobs in (0, -4):
             with pytest.raises(ValueError):
                 run_experiment(cfg, 6, 5, jobs=jobs)
+        with pytest.raises(ValueError, match="no start pattern"):
+            run_experiment(GaConfig(max_iterations=2), 4, 2,
+                           start=Pattern.zeros(5))
 
     def test_ca_summary_consistency(self):
         cfg = CaConfig(builtin_set(8), t_limit=60)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wealthca.analysis import derive_seed
 from wealthca.ca import (CaConfig, CaState, _Buckets, _hit_table, _rate_table,
                          generation, init_ca, is_stable, micro_step, run_ca)
 from wealthca.grid import Coord, Pattern, pack, window_codes
@@ -113,8 +114,8 @@ class TestMicroStep:
             assert state.hits[cell] == int(expect)
 
     def test_packs_the_window_code_layout(self):
-        # micro_step packs the outer ring inline; at every cell it must hit
-        # the one template whose outer ring is window_codes(...) & 255
+        # micro_step reads the sampler's window codes; at every cell it must
+        # hit the one template whose outer ring is window_codes(...) & 255
         rng = random.Random(1)
         cells = [rng.randrange(2) for _ in range(49)]
         for cell, code in enumerate(window_codes(cells, 7).tolist()):
@@ -310,8 +311,8 @@ class TestRun:
         PayoffParams(), PayoffParams(t=5.0, r=3.0, p=1.0, self_play=False)])
     @pytest.mark.parametrize("selection", ["random", "sequential"])
     def test_trace_tps_is_the_pattern_tps(self, selection, params):
-        # random selection reads TPS off the sampler's counters, sequential
-        # selection off the grid; both must equal the pattern's TPS exactly
+        # both selections read TPS off the sampler's counters; it must equal
+        # the pattern's TPS exactly
         seen = []
         cfg = CaConfig(RULE36, t_limit=30, seed=4, selection=selection)
         res = run_ca(cfg, n=9, params=params,
@@ -319,6 +320,22 @@ class TestRun:
                                                              params)))
         assert [row.tps for row in res.trace] == seen
         assert len(set(seen)) > 1
+
+    def test_golden_sequential_runs(self):
+        # sequential runs of the engine that packed micro_step's window code
+        # from the grid and judged each generation by a pass over the grid:
+        # the same draws must give the same runs
+        runs = []
+        for i in range(8):
+            res = run_ca(CaConfig(RULE52, selection="sequential", t_limit=40,
+                                  seed=derive_seed(3, i)), n=9)
+            runs.append((res.changes, res.generations, res.tps_final,
+                         res.stop_reason))
+        assert runs == [
+            (28, 3, 862.0, "stable"), (37, 3, 859.0, "stable"),
+            (39, 3, 864.0, "stable"), (49, 3, 862.0, "stable"),
+            (34, 3, 864.0, "stable"), (36, 3, 865.0, "stable"),
+            (35, 6, 862.0, "stable"), (35, 3, 865.0, "stable")]
 
     def test_t_max_is_first_attainment(self):
         cfg = CaConfig(RULE36, t_limit=40, seed=9)
@@ -414,7 +431,6 @@ class TestJumpGeneration:
                        pi_10=data.draw(probabilities))
         state = CaState(n=n, cells=list(cells), hits=[0] * (n * n))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        state._buckets = _Buckets(state.cells, n, cfg.rate_table)
         for _ in range(data.draw(st.integers(0, 3))):
             generation(state, cfg, rng)  # keeps the buckets current
         _, full_ok = cfg.hit_table
@@ -429,17 +445,52 @@ class TestJumpGeneration:
             assert generation(state, cfg, rng)
             assert state.changes == 25 * t
 
-    def test_micro_step_drops_the_buckets(self):
+    def test_micro_step_keeps_the_buckets_current(self):
         cfg = CaConfig(RULE36, init_density=0.3)
         rng = random.Random(6)
         state = init_ca(cfg, 8, rng)
         generation(state, cfg, rng)
-        assert state._buckets is not None
+        bk = state._buckets
         while not micro_step(state, cfg, rng):
-            assert state._buckets is not None
-        assert state._buckets is None
+            pass
+        assert state._buckets is bk
+        assert_buckets_rebuilt(state, cfg.rate_table)
         generation(state, cfg, rng)
-        assert_buckets_rebuilt(state, _rate_table(RULE36, 0.04, 1.0))
+        assert state._buckets is bk
+        assert_buckets_rebuilt(state, cfg.rate_table)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_buckets_match_a_rebuild_after_every_micro_step(self, data):
+        if data.draw(st.booleans()):
+            ts = builtin_set(data.draw(st.sampled_from([8, 36, 52])))
+        else:
+            ts = _random_template_set(data.draw)
+        n = data.draw(st.integers(3, 7))
+        cells = data.draw(st.lists(st.integers(0, 1), min_size=n * n,
+                                   max_size=n * n))
+        cfg = CaConfig(ts, pi_01=data.draw(probabilities),
+                       pi_10=data.draw(probabilities))
+        by_selection = {s: dataclasses.replace(cfg, selection=s)
+                        for s in ("random", "sequential")}
+        state = CaState(n=n, cells=list(cells), hits=[0] * (n * n))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        steps = data.draw(st.lists(
+            st.tuples(st.sampled_from(["micro_step", "generation"]),
+                      st.sampled_from(["random", "sequential"])),
+            min_size=1, max_size=40))
+        bk = None
+        for step, selection in steps:
+            step_cfg = by_selection[selection]
+            before = state.changes
+            if step == "micro_step":
+                changed = micro_step(state, step_cfg, rng)
+                assert state.changes == before + changed
+            else:
+                generation(state, step_cfg, rng)
+            bk = bk or state._buckets
+            assert state._buckets is bk  # kept, never rebuilt
+            assert_buckets_rebuilt(state, cfg.rate_table)
 
     def test_zero_rates_but_unstable_runs_to_the_limit(self):
         # no rule-52 template matches an all-ones ring, and without noise

@@ -90,6 +90,11 @@ class TestBitboard:
         assert pack(cells) == 1 << 13
         assert Pattern.from_board(5, 1 << 13) == Pattern(5, tuple(cells))
 
+    @pytest.mark.parametrize("board", [(1 << 9) | 1, 1 << 9, -1])
+    def test_from_board_rejects_bits_outside_the_grid(self, board):
+        with pytest.raises(PatternError):
+            Pattern.from_board(3, board)
+
     @given(patterns)
     def test_round_trip(self, p):
         board = pack(p.cells)
