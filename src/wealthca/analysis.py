@@ -12,7 +12,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ca import CaConfig, run_ca
 from .ga import GaConfig, run_ga
-from .grid import Pattern, check_size, symmetry_images, window_codes
+from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Pattern, check_size,
+                   symmetry_images, window_codes)
 from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count
 
 # Unique 5x5 optimum (up to symmetry), oriented so that border growth below
@@ -37,42 +38,46 @@ class StructureReport:
     zero_cells: int
 
 
-def _box_sum(a: np.ndarray, rows, cols) -> np.ndarray:
-    """Toroidal box sums: s[i, j] = sum of a[i + di, j + dj] (indices mod n)
-    over di in rows and dj in cols."""
-    r = sum(np.roll(a, -di, axis=0) for di in rows)
-    return sum(np.roll(r, -dj, axis=1) for dj in cols)
+# Window-code bit (grid.WINDOW_WEIGHTS) of each MOORE_OFFSETS cell.
+_BIT = dict(zip(MOORE_OFFSETS, WINDOW_WEIGHTS))
 
 
 def count_points(p: Pattern) -> int:
     """1-cells whose eight Moore neighbors are all 0."""
-    return int((window_codes(p.cells, p.n) == 256).sum())
+    return int((window_codes(p.cells, p.n) == _BIT[0, 0]).sum())
 
 
 def count_dominoes(p: Pattern) -> int:
     """Adjacent 1-pairs whose surrounding 10-cell hull is all 0.
 
-    A pair anchored at (i, j) is a domino iff both its cells are 1 and the
-    3x4 (horizontal) or 4x3 (vertical) box around it holds exactly 2 ones.
+    The hull is the union of the two cells' windows: a pair anchored at
+    (i, j) is a domino iff each cell's code holds just itself and the other.
     """
-    a = p.to_array()
-    right = a & np.roll(a, -1, axis=1)
-    down = a & np.roll(a, -1, axis=0)
-    return int((right & (_box_sum(a, (-1, 0, 1), (-1, 0, 1, 2)) == 2)).sum()
-               + (down & (_box_sum(a, (-1, 0, 1, 2), (-1, 0, 1)) == 2)).sum())
+    b = _BIT
+    codes = window_codes(p.cells, p.n).reshape(p.n, p.n)
+    right = ((codes == (b[0, 0] | b[0, 1]))
+             & (np.roll(codes, -1, axis=1) == (b[0, 0] | b[0, -1])))
+    down = ((codes == (b[0, 0] | b[1, 0]))
+            & (np.roll(codes, -1, axis=0) == (b[0, 0] | b[-1, 0])))
+    return int(right.sum() + down.sum())
 
 
 def detect_singularities(p: Pattern) -> list[tuple[int, int]]:
     """Top-left corners of maximal 2x2 zero blocks, row-major.
 
     A block counts only if it cannot be extended to an all-zero 2x3 or 3x2
-    block, so uniform zero regions report nothing.
+    block, so uniform zero regions report nothing: each of the four strips
+    flanking it holds a 1.
     """
-    a = p.to_array()
-    found = _box_sum(a, (0, 1), (0, 1)) == 0
-    for rows, cols in (((-1,), (0, 1)), ((2,), (0, 1)),
-                       ((0, 1), (-1,)), ((0, 1), (2,))):
-        found &= _box_sum(a, rows, cols) > 0
+    b = _BIT
+    codes = window_codes(p.cells, p.n).reshape(p.n, p.n)
+    # the block and two strips lie in the corner's window, two in its diagonal
+    diag = np.roll(codes, (-1, -1), axis=(0, 1))  # the code at (i+1, j+1)
+    found = (((codes & (b[0, 0] | b[0, 1] | b[1, 0] | b[1, 1])) == 0)
+             & ((codes & (b[-1, 0] | b[-1, 1])) > 0)  # strip above
+             & ((codes & (b[0, -1] | b[1, -1])) > 0)  # strip left
+             & ((diag & (b[1, -1] | b[1, 0])) > 0)  # strip below
+             & ((diag & (b[-1, 1] | b[0, 1])) > 0))  # strip right
     return [(i, j) for i, j in np.argwhere(found).tolist()]
 
 
@@ -198,11 +203,8 @@ def brute_force_oracle(n: int,
             best_codes.extend(codes[tps_all == best].tolist())
     reps = {}
     for code in best_codes:
-        arr = Pattern.from_board(n, code).to_array()
-        key = _canonical_bytes(arr)
-        if key not in reps:
-            reps[key] = Pattern.from_array(
-                np.frombuffer(key, dtype=np.uint8).reshape(n, n))
+        key = _canonical_bytes(Pattern.from_board(n, code).to_array())
+        reps.setdefault(key, Pattern(n, key))
     return OracleResult(float(best), len(best_codes), tuple(reps.values()))
 
 

@@ -66,11 +66,16 @@ class Pattern:
 
     def __post_init__(self):
         check_size(self.n)
-        if len(self.cells) != self.n * self.n:
+        try:  # ints and bools in 0..255 pass, other types raise
+            data = bytes(list(self.cells))
+        except (TypeError, ValueError):
+            data = None
+        if data is None or data.translate(None, b"\0\1"):
+            raise PatternError("cell values must be the ints 0 or 1")
+        if len(data) != self.n * self.n:
             raise PatternError(
-                f"expected {self.n * self.n} cells, got {len(self.cells)}")
-        if any(v not in (0, 1) for v in self.cells):
-            raise PatternError("cell values must be 0 or 1")
+                f"expected {self.n * self.n} cells, got {len(data)}")
+        object.__setattr__(self, "cells", tuple(data))  # plain ints
 
     @classmethod
     def from_rows(cls, rows) -> "Pattern":
@@ -87,8 +92,11 @@ class Pattern:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Pattern":
+        """The pattern of a square 2-D array of 0/1 ints or bools."""
         arr = np.asarray(arr)
-        return cls(arr.shape[0], tuple(int(v) for v in arr.reshape(-1)))
+        if arr.ndim != 2:  # the cell count then checks that it is square
+            raise PatternError(f"expected a 2-D array, got shape {arr.shape}")
+        return cls(arr.shape[0], arr.reshape(-1).tolist())
 
     @classmethod
     def from_board(cls, n: int, board: int) -> "Pattern":
@@ -106,7 +114,7 @@ class Pattern:
         return cls(n, (0,) * (n * n))
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.cells, dtype=np.uint8).reshape(self.n, self.n)
+        return _cell_bits(self.cells).reshape(self.n, self.n)
 
     def at(self, i: int, j: int) -> int:
         """Cell value with toroidal wrap."""
@@ -125,6 +133,13 @@ class Pattern:
                 for i in range(n)]
 
 
+def _cell_bits(cells) -> np.ndarray:
+    """Flat uint8 array of 0/1 cells: a sequence of ints or any 0/1 array."""
+    if isinstance(cells, np.ndarray):
+        return cells.astype(np.uint8).reshape(-1)
+    return np.frombuffer(bytearray(cells), dtype=np.uint8)
+
+
 # Bitboards: a pattern packed into one Python int, bit k = flat cell k
 # (row-major), the layout of the oracle's pattern codes.
 
@@ -138,7 +153,7 @@ def pack_rows(rows: np.ndarray) -> list[int]:
 
 def pack(cells) -> int:
     """Bitboard of a flat sequence of 0/1 Python ints."""
-    return pack_rows(np.frombuffer(bytes(cells), dtype=np.uint8)[None])[0]
+    return pack_rows(_cell_bits(cells)[None])[0]
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +171,7 @@ def window_codes(cells, n: int) -> np.ndarray:
 
     cells is any row-major sequence or array of the n*n cell values.
     """
-    bits = np.asarray(cells, dtype=np.intp).reshape(-1)
-    return bits[window_indices(n)] @ WINDOW_WEIGHTS
+    return _cell_bits(cells)[window_indices(n)] @ WINDOW_WEIGHTS
 
 
 def transform(p: Pattern, op: str, di: int = 0, dj: int = 0) -> Pattern:
@@ -165,12 +179,12 @@ def transform(p: Pattern, op: str, di: int = 0, dj: int = 0) -> Pattern:
 
     op is one of SYMMETRY_OPS or "shift"; di/dj are used by "shift" only.
     """
+    arr = p.to_array()
     if op == "shift":
-        arr = np.roll(np.roll(p.to_array(), di, axis=0), dj, axis=1)
-        return Pattern.from_array(arr)
+        return Pattern.from_array(np.roll(arr, (di, dj), axis=(0, 1)))
     if op not in _SYMMETRIES:
         raise ValueError(f"unknown symmetry op {op!r}")
-    return Pattern.from_array(_SYMMETRIES[op](p.to_array()))
+    return Pattern.from_array(_SYMMETRIES[op](arr))
 
 
 def symmetry_images(arr: np.ndarray) -> list[np.ndarray]:
@@ -183,24 +197,15 @@ def parse(text: str) -> Pattern:
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
-    if len(lines) < 3:
-        raise PatternError(f"need at least 3 rows, got {len(lines)}")
-    n = len(lines[0])
-    rows = []
+    n = len(lines)  # the side length; Pattern checks that it is >= 3
     for lineno, line in enumerate(lines, start=1):
         if len(line) != n:
             raise PatternError(
                 f"line {lineno}: expected {n} characters, got {len(line)}")
-        row = []
-        for ch in line:
-            if ch not in "01":
-                raise PatternError(f"line {lineno}: illegal character {ch!r}")
-            row.append(int(ch))
-        rows.append(row)
-    if len(rows) != n:
-        raise PatternError(f"expected {n} rows for width {n}, got {len(rows)}")
-    check_size(n)
-    return Pattern.from_rows(rows)
+        bad = [ch for ch in line if ch not in "01"]
+        if bad:
+            raise PatternError(f"line {lineno}: illegal character {bad[0]!r}")
+    return Pattern.from_rows(lines)
 
 
 def serialize(p: Pattern) -> str:

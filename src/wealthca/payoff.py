@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Coord, Pattern, pack, window_indices
+from .grid import Coord, Pattern, pack, window_codes
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,13 @@ def total_payoff_grid(p: Pattern,
 
     Only the per-cell map needs this; totals go through tps_of_bits.
     """
-    bits = np.asarray(p.cells, dtype=np.int64)
-    idx = window_indices(p.n)
-    windows = bits[idx]  # (N, 9), center first
-    if params.self_play:
-        n_coop = 9 - windows.sum(axis=1)
-    else:
-        n_coop = 8 - windows[:, 1:].sum(axis=1)
-    n_def = params.k - n_coop
-    coop_income = params.r * n_coop + params.s * n_def
-    def_income = params.t * n_coop + params.p * n_def
-    totals = np.where(bits == 1, def_income, coop_income)
+    codes = window_codes(p.cells, p.n)
+    center = codes >> 8
+    # defector opponents: the outer ring, plus the cell itself under self_play
+    n_def = np.bitwise_count(codes & 255) + (center if params.self_play else 0)
+    n_coop = params.k - n_def
+    totals = np.where(center == 1, params.t * n_coop + params.p * n_def,
+                      params.r * n_coop + params.s * n_def)
     return totals.reshape(p.n, p.n)
 
 

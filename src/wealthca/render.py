@@ -22,15 +22,11 @@ def ppm_bytes(p: Pattern, scale: int = 1, quad: bool = False,
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
     n = p.n
-    img = np.empty((n, n, 3), dtype=np.uint8)
-    arr = p.to_array()
-    img[arr == 0] = WHITE
-    img[arr == 1] = BLACK
+    img = np.array((WHITE, BLACK), dtype=np.uint8)[p.to_array()]
     if mark_singularities:
-        for i, j in detect_singularities(p):
-            for a in (0, 1):
-                for b in (0, 1):
-                    img[(i + a) % n, (j + b) % n] = RED
+        c = np.array(detect_singularities(p), dtype=np.intp).reshape(-1, 2)
+        # the rows and columns of each corner's 2x2 block, wrapped
+        img[(c[:, :1] + [0, 0, 1, 1]) % n, (c[:, 1:] + [0, 1, 0, 1]) % n] = RED
     if quad:
         img = np.tile(img, (2, 2, 1))
     if scale > 1:

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from wealthca.ca import CaConfig
 from wealthca.ga import GaConfig
 from wealthca.grid import (Coord, Pattern, PatternError, parse,
                           symmetry_images, transform, window_codes)
-from wealthca.payoff import PayoffParams, cell_total_payoff, tps, wealth
+from wealthca.payoff import (DEFAULT_PARAMS, PayoffParams, cell_total_payoff,
+                             tps, wealth)
 from wealthca.templates import (Template, TemplateSet, builtin_set,
                                 extract_templates)
 
@@ -210,6 +212,58 @@ class TestPointFilled:
     def test_too_small(self):
         with pytest.raises(PatternError):
             point_filled(2)
+
+
+def block_weight(a, b, c, d, params):
+    """Weight of the 2x2 blocks with cells a b / c d (numbers or arrays).
+
+    w = c0 + c1 ones/4 + c2 ((h + v)/2 + diag) in the params.pair_sum
+    coefficients: each cell lies in four blocks, each horizontal (h) or
+    vertical (v) defector pair in two and each diagonal one in one.
+    """
+    c0, c1, c2 = params.pair_sum
+    h, v, diag = a * b + c * d, a * c + b * d, a * d + b * c
+    return c0 + c1 * (a + b + c + d) / 4 + c2 * ((h + v) / 2 + diag)
+
+
+def block_weights(p, params):
+    """(n, n) weights of the cell-anchored 2x2 blocks of p."""
+    a = p.to_array().astype(int)
+    b, c = np.roll(a, -1, axis=1), np.roll(a, -1, axis=0)
+    return block_weight(a, b, c, np.roll(c, -1, axis=1), params)
+
+
+CERTIFICATE_PARAMS = (DEFAULT_PARAMS, PayoffParams(5.0, 3.0, 1.0, 0.0),
+                      PayoffParams(self_play=False))
+
+
+class TestEvenCertificate:
+    """TPS is the sum of the block weights; under the default payoffs no
+    block weighs more than 43/4, the point lattice's, so 43n²/4 bounds
+    every n x n pattern and optimal_tps(n) is certified for even n."""
+
+    @given(st.integers(3, 11), st.floats(0, 1), st.integers(0, 2**32 - 1),
+           st.sampled_from(CERTIFICATE_PARAMS))
+    def test_tps_is_the_sum_of_block_weights(self, n, density, seed, params):
+        p = Pattern.from_array(
+            np.random.default_rng(seed).random((n, n)) < density)
+        assert block_weights(p, params).sum() == tps(p, params)
+        if params == DEFAULT_PARAMS:
+            assert tps(p) <= 43 * n * n / 4
+
+    def test_one_defector_blocks_alone_weigh_the_most(self):
+        weights = {cells: block_weight(*cells, DEFAULT_PARAMS)
+                   for cells in product((0, 1), repeat=4)}
+        top = max(weights.values())
+        assert top == 43 / 4
+        assert ({cells for cells, w in weights.items() if w == top}
+                == {cells for cells in weights if sum(cells) == 1})
+
+    def test_even_optimum_is_the_block_bound_attained(self):
+        for n in range(4, 17, 2):
+            assert optimal_tps(n) == 43 * n * n / 4
+            assert (block_weights(point_filled(n), DEFAULT_PARAMS)
+                    == 43 / 4).all()
 
 
 class TestOptimalTps:

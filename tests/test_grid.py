@@ -42,6 +42,37 @@ class TestPattern:
         with pytest.raises(PatternError):
             Pattern(3, (0,) * 8)
 
+    @pytest.mark.parametrize("cells", [(1.0,) + (0,) * 8, (0.5,) + (0,) * 8,
+                                       ("1",) + (0,) * 8, (256,) + (0,) * 8,
+                                       (-1,) + (0,) * 8, "100000000"])
+    def test_rejects_cells_that_are_not_ints_0_or_1(self, cells):
+        with pytest.raises(PatternError, match="cell values"):
+            Pattern(3, cells)
+
+    def test_stores_cells_as_a_tuple_of_ints(self):
+        p = Pattern(3, [True] + [False] * 8)
+        assert p.cells == (1,) + (0,) * 8
+        assert all(type(v) is int for v in p.cells)
+        assert p.rows() == ["100", "000", "000"]
+        assert serialize(p) == "100\n000\n000\n"
+        assert hash(Pattern(3, [0] * 9)) == hash(Pattern.zeros(3))
+        assert Pattern(3, np.ones(9, dtype=np.int64)).cells == (1,) * 9
+
+    def test_from_array_reads_ints_and_bools(self):
+        arr = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+        want = Pattern(3, (0, 1, 0, 0, 0, 0, 0, 0, 1))
+        assert Pattern.from_array(arr) == want
+        assert Pattern.from_array(arr.astype(bool)) == want
+        assert Pattern.from_array(arr.astype(np.uint8)) == want
+
+    @pytest.mark.parametrize("arr", [
+        np.full((3, 3), 0.9), np.full((3, 3), 1.7), np.full((3, 3), 2),
+        np.zeros((3, 3, 1)), np.zeros((3, 3, 1), dtype=int),
+        np.zeros(9, dtype=int), np.zeros((3, 4), dtype=int)])
+    def test_from_array_rejects_other_input(self, arr):
+        with pytest.raises(PatternError):
+            Pattern.from_array(arr)
+
     def test_wrap_indexing(self):
         p = parse("100\n000\n000")
         assert p[0, 0] == 1

@@ -23,7 +23,9 @@ def patterns(max_n=8):
 # agree to the bit whatever order they add in
 quarters = st.integers(-20, 20).map(lambda k: k / 4)
 payoff_params = st.one_of(
-    st.just(DEFAULT_PARAMS),
+    st.sampled_from([DEFAULT_PARAMS, PayoffParams(self_play=False),
+                     PayoffParams(5.0, 3.0, 1.0, 0.0),
+                     PayoffParams(5.0, 3.0, 1.0, 0.0, self_play=False)]),
     st.builds(PayoffParams, quarters, quarters, quarters, quarters,
               st.booleans()))
 
@@ -63,12 +65,12 @@ class TestCellPayoff:
         assert cell_total_payoff(p, Coord(0, 0), params) == 8.0
         assert cell_utility(p, Coord(0, 0), params) == 1.0
 
-    @given(patterns())
-    def test_grid_matches_per_cell_loop(self, p):
-        grid = total_payoff_grid(p)
+    @given(patterns(), payoff_params)
+    def test_grid_matches_per_cell_loop(self, p, params):
+        grid = total_payoff_grid(p, params)
         for i in range(p.n):
             for j in range(p.n):
-                assert grid[i, j] == cell_total_payoff(p, Coord(i, j))
+                assert grid[i, j] == cell_total_payoff(p, Coord(i, j), params)
 
 
 class TestTpsAndWealth:

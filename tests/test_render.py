@@ -1,6 +1,6 @@
 import pytest
 
-from wealthca.grid import Pattern, parse
+from wealthca.grid import Pattern, parse, transform
 from wealthca.render import ppm_bytes, write_ppm
 
 
@@ -35,6 +35,12 @@ class TestPpm:
         reds = [k for k, c in enumerate(px) if c == (255, 0, 0)]
         # the single maximal 2x2 zero block at (2, 1)
         assert reds == [2 * 5 + 1, 2 * 5 + 2, 3 * 5 + 1, 3 * 5 + 2]
+        # shifted down by 2 and right by 3, the block wraps both torus seams:
+        # rows 4 and 0, columns 4 and 0
+        shifted = transform(optimal5, "shift", 2, 3)
+        px = pixels(ppm_bytes(shifted, mark_singularities=True), 5, 5)
+        reds = [k for k, c in enumerate(px) if c == (255, 0, 0)]
+        assert reds == [0 * 5 + 0, 0 * 5 + 4, 4 * 5 + 0, 4 * 5 + 4]
 
     def test_no_marks_without_singularities(self):
         px = pixels(ppm_bytes(Pattern.zeros(4), mark_singularities=True), 4, 4)
