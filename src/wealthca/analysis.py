@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .ca import CaConfig, run_ca
 from .ga import GaConfig, run_ga
 from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Pattern, check_size,
-                   symmetry_images, window_codes)
+                   symmetry_images)
 from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count
 
 # Unique 5x5 optimum (up to symmetry), oriented so that border growth below
@@ -44,7 +44,7 @@ _BIT = dict(zip(MOORE_OFFSETS, WINDOW_WEIGHTS))
 
 def count_points(p: Pattern) -> int:
     """1-cells whose eight Moore neighbors are all 0."""
-    return int((window_codes(p.cells, p.n) == _BIT[0, 0]).sum())
+    return int((p.codes == _BIT[0, 0]).sum())
 
 
 def count_dominoes(p: Pattern) -> int:
@@ -54,7 +54,7 @@ def count_dominoes(p: Pattern) -> int:
     (i, j) is a domino iff each cell's code holds just itself and the other.
     """
     b = _BIT
-    codes = window_codes(p.cells, p.n).reshape(p.n, p.n)
+    codes = p.codes
     right = ((codes == (b[0, 0] | b[0, 1]))
              & (np.roll(codes, -1, axis=1) == (b[0, 0] | b[0, -1])))
     down = ((codes == (b[0, 0] | b[1, 0]))
@@ -70,7 +70,7 @@ def detect_singularities(p: Pattern) -> list[tuple[int, int]]:
     flanking it holds a 1.
     """
     b = _BIT
-    codes = window_codes(p.cells, p.n).reshape(p.n, p.n)
+    codes = p.codes
     # the block and two strips lie in the corner's window, two in its diagonal
     diag = np.roll(codes, (-1, -1), axis=(0, 1))  # the code at (i+1, j+1)
     found = (((codes & (b[0, 0] | b[0, 1] | b[1, 0] | b[1, 1])) == 0)

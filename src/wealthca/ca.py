@@ -19,10 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (WINDOW_WEIGHTS, Pattern, check_size, pack, window_codes,
+from .grid import (WINDOW_WEIGHTS, Pattern, check_size, window_codes,
                    window_indices)
 # ca does not call tps_of_bits; perfbench's traced mode swaps ca.tps_of_bits
-from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count, tps_of_bits
+from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
 from .templates import TemplateSet
 
 
@@ -106,25 +106,13 @@ class CaRunResult:
 
 
 @lru_cache(maxsize=None)
-def _hit_table(ts: TemplateSet):
-    """Per 8-bit outer code: centers of outer-matching templates.
-
-    Returns (match_centers, full_ok) where match_centers[code] lists the
-    center value of every template whose outer ring equals the code, and
-    full_ok is a (256, 2) bool array with full_ok[code, a] true iff the code
-    has matching templates and every one of them has center a, so that a
-    micro-step on a cell in state a with that ring can never change it.
-    """
-    match_centers: list[tuple[int, ...]] = [()] * 256
-    buckets: dict[int, list[int]] = {}
+def _hit_table(ts: TemplateSet) -> tuple[tuple[int, ...], ...]:
+    """Per 9-bit window code: the center value of every template whose
+    outer ring equals the code's ring (code & 255), in template order."""
+    rings: dict[int, tuple[int, ...]] = {}
     for t in ts:
-        buckets.setdefault(t.outer_code(), []).append(t.center)
-    full_ok = np.zeros((256, 2), dtype=bool)
-    for code, centers in buckets.items():
-        match_centers[code] = tuple(centers)
-        if len(set(centers)) == 1:
-            full_ok[code, centers[0]] = True
-    return tuple(match_centers), full_ok
+        rings[t.outer_code()] = rings.get(t.outer_code(), ()) + (t.center,)
+    return tuple(rings.get(code & 255, ()) for code in range(512))
 
 
 @lru_cache(maxsize=None)
@@ -138,10 +126,9 @@ def _rate_table(ts: TemplateSet, pi_01: float, pi_10: float):
     template centers that differ from the cell, or, when no template
     matches, pi_01 for a 0 cell and pi_10 for a 1 cell.
     """
-    match_centers, _ = _hit_table(ts)
     prob = []
-    for code in range(512):
-        centers, a = match_centers[code & 255], code >> 8
+    for code, centers in enumerate(_hit_table(ts)):
+        a = code >> 8
         if centers:
             prob.append(sum(c != a for c in centers) / len(centers))
         else:
@@ -156,8 +143,8 @@ class _Buckets:
     codes[c] is cell c's window code, slot[c] its bucket (-1: rate 0) and
     pos[c] its index in members[slot[c]]; members lists are kept by
     swap-remove, so their order is arbitrary. ones and pairs are the
-    pattern's defectors and 8-neighbor defector pairs (E of pair_count),
-    so TPS reads off them in O(1).
+    pattern's defectors and 8-neighbor defector pairs (E of
+    payoff.pair_count), so TPS reads off them in O(1).
     """
 
     __slots__ = ("table", "codes", "slot", "pos", "members", "ones", "pairs")
@@ -166,6 +153,9 @@ class _Buckets:
         rates, bucket = table
         self.table = table
         codes = window_codes(cells, n)
+        # a defector pair lies in the outer rings of both its cells
+        rings = np.bitwise_count(codes[codes >= 256] & 255)
+        self.ones, self.pairs = len(rings), int(rings.sum()) // 2
         slot = np.asarray(bucket)[codes]
         pos = np.zeros(n * n, dtype=np.intp)
         self.members = []
@@ -175,8 +165,6 @@ class _Buckets:
             self.members.append(m.tolist())
         self.codes, self.slot, self.pos = (codes.tolist(), slot.tolist(),
                                            pos.tolist())
-        board = pack(cells)
-        self.ones, self.pairs = board.bit_count(), pair_count(board, n)
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +243,7 @@ def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
         cell = rng.randrange(n2)
     bk = _sampler(state, cfg)
     code = bk.codes[cell]
-    centers = cfg.hit_table[0][code & 255]
+    centers = cfg.hit_table[code]
     old = code >> 8
     if centers:
         state.hits[cell] = 1
@@ -338,17 +326,13 @@ def is_stable(state: CaState, cfg: CaConfig) -> bool:
     """True iff every cell's outer ring matches only templates whose center
     equals the cell (an absorbing state).
 
-    Such a cell changes with probability 0, so a stable state leaves every
-    bucket of the sampler empty: a nonempty one answers False in O(1), and
-    only an empty sampler (stable, or frozen by zero rates) runs the full
-    check on its window codes.
+    Such a cell has rate 0, so a stable state leaves every bucket of the
+    sampler empty; then an unmatched cell has rate 0 only by zero noise,
+    so the state is stable iff every ring matches.
     """
     bk = _sampler(state, cfg)
-    if any(bk.members):
-        return False
-    _, full_ok = cfg.hit_table
-    codes = np.asarray(bk.codes)
-    return bool(full_ok[codes & 255, codes >> 8].all())
+    return not any(bk.members) and all(map(cfg.hit_table.__getitem__,
+                                           bk.codes))
 
 
 def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,6 +76,16 @@ class Pattern:
             raise PatternError(
                 f"expected {self.n * self.n} cells, got {len(data)}")
         object.__setattr__(self, "cells", tuple(data))  # plain ints
+
+    def __reduce__(self):  # not the cached codes: they would load writable
+        return type(self), (self.n, self.cells)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Read-only (n, n) array of each cell's window code (window_codes)."""
+        codes = window_codes(self.cells, self.n).reshape(self.n, self.n)
+        codes.setflags(write=False)
+        return codes
 
     @classmethod
     def from_rows(cls, rows) -> "Pattern":
@@ -195,10 +205,11 @@ def symmetry_images(arr: np.ndarray) -> list[np.ndarray]:
 def parse(text: str) -> Pattern:
     """Parse lines of '0'/'1' characters into a Pattern."""
     lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
+    # skip blank lines at both ends (all blank: none left); number from 1
+    full = [k for k, line in enumerate(lines) if line.strip()] or [0, -1]
+    top, lines = full[0], lines[full[0]:full[-1] + 1]
     n = len(lines)  # the side length; Pattern checks that it is >= 3
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=top + 1):
         if len(line) != n:
             raise PatternError(
                 f"line {lineno}: expected {n} characters, got {len(line)}")

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Coord, Pattern, pack, window_codes
+from .grid import Coord, Pattern, pack
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,13 @@ def total_payoff_grid(p: Pattern,
 
     Only the per-cell map needs this; totals go through tps_of_bits.
     """
-    codes = window_codes(p.cells, p.n)
+    codes = p.codes
     center = codes >> 8
     # defector opponents: the outer ring, plus the cell itself under self_play
     n_def = np.bitwise_count(codes & 255) + (center if params.self_play else 0)
     n_coop = params.k - n_def
-    totals = np.where(center == 1, params.t * n_coop + params.p * n_def,
-                      params.r * n_coop + params.s * n_def)
-    return totals.reshape(p.n, p.n)
+    return np.where(center == 1, params.t * n_coop + params.p * n_def,
+                    params.r * n_coop + params.s * n_def)
 
 
 def cell_total_payoff(p: Pattern, c: Coord,

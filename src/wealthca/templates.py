@@ -9,7 +9,7 @@ from itertools import count
 import numpy as np
 
 from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Coord, Pattern, PatternError,
-                   symmetry_images, window_codes)
+                   symmetry_images)
 
 # The 52 canonical templates. T0-T7 suffice for even grid sizes (pure point
 # patterns); T8-T35 add domino-induced neighborhoods; T36-T51 come from the
@@ -220,7 +220,7 @@ def extract_templates(p: Pattern, complete: bool = True) -> TemplateSet:
     labels where they coincide with built-in templates, the others are
     labelled X0, X1, ... in that order.
     """
-    codes, first = np.unique(window_codes(p.cells, p.n), return_index=True)
+    codes, first = np.unique(p.codes, return_index=True)
     fresh = (f"X{k}" for k in count())
     ts = TemplateSet(tuple(_builtin().get(code) or Template(code, next(fresh))
                            for code in codes[np.argsort(first)].tolist()))

@@ -30,8 +30,8 @@ def stepped_under_rule8():
     state = init_ca(cfg, 8, rng)
     generation(state, cfg, rng)
     micro_step(state, dataclasses.replace(cfg, selection="sequential"), rng)
-    centers = cfg.hit_table[0]
-    assert any(centers[c & 255] and c >> 8 not in centers[c & 255]
+    centers = cfg.hit_table
+    assert any(centers[c] and c >> 8 not in centers[c]
                for c in window_codes(state.cells, 8).tolist())
     return state, rng
 
@@ -194,7 +194,7 @@ class TestGeneration:
         rng = random.Random(0)
         p = Pattern(6, tuple(rng.randint(0, 1) for _ in range(36)))
         cfg = CaConfig(extract_templates(p), t_limit=0)
-        ambiguous = [c for c in _hit_table(cfg.templates)[0]
+        ambiguous = [c for c in _hit_table(cfg.templates)[:256]
                      if len(set(c)) == 2]
         assert len(ambiguous) == 24
         state = init_ca(cfg, 6, rng, start=p)
@@ -213,7 +213,7 @@ class TestGeneration:
 
     def test_builtin_rules_have_no_ambiguous_rings(self):
         for ts in (RULE8, RULE36, RULE52):
-            assert all(len(set(c)) <= 1 for c in _hit_table(ts)[0])
+            assert all(len(set(c)) <= 1 for c in _hit_table(ts))
 
 
 class TestRun:
@@ -337,6 +337,34 @@ class TestRun:
             (34, 3, 864.0, "stable"), (36, 3, 865.0, "stable"),
             (35, 6, 862.0, "stable"), (35, 3, 865.0, "stable")]
 
+    def test_golden_random_runs(self):
+        # random-selection runs of the engine that kept a (256, 2) absorbing
+        # table beside the hit table: the same draws must give the same runs
+        runs = []
+        for i in range(8):
+            res = run_ca(CaConfig(RULE52, t_limit=40, seed=derive_seed(4, i)),
+                         n=9)
+            runs.append((res.changes, res.generations, res.tps_final,
+                         res.stop_reason))
+        assert runs == [
+            (26, 4, 862.0, "stable"), (56, 15, 864.0, "stable"),
+            (31, 3, 862.0, "stable"), (45, 14, 864.0, "stable"),
+            (40, 11, 865.0, "stable"), (40, 4, 863.0, "stable"),
+            (20, 3, 865.0, "stable"), (22, 4, 862.0, "stable")]
+        # an extracted set whose outer rings include 24 with both centers
+        rng = random.Random(0)
+        ts = extract_templates(Pattern(6, tuple(rng.randint(0, 1)
+                                                for _ in range(36))))
+        runs = []
+        for i in range(4):
+            res = run_ca(CaConfig(ts, pi_01=0.3, pi_10=0.5, t_limit=20,
+                                  seed=derive_seed(5, i)), n=6)
+            runs.append((res.changes, res.generations, res.tps_final,
+                         res.stop_reason))
+        assert runs == [
+            (248, 20, 235.0, "t_limit"), (273, 20, 271.0, "t_limit"),
+            (249, 20, 288.0, "t_limit"), (282, 20, 287.0, "t_limit")]
+
     def test_t_max_is_first_attainment(self):
         cfg = CaConfig(RULE36, t_limit=40, seed=9)
         res = run_ca(cfg, n=9)
@@ -433,9 +461,12 @@ class TestJumpGeneration:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         for _ in range(data.draw(st.integers(0, 3))):
             generation(state, cfg, rng)  # keeps the buckets current
-        _, full_ok = cfg.hit_table
-        codes = window_codes(state.cells, n)
-        assert is_stable(state, cfg) == full_ok[codes & 255, codes >> 8].all()
+        rings = {}  # outer ring -> the centers of its templates
+        for t in ts:
+            rings.setdefault(t.outer_code(), set()).add(t.center)
+        assert is_stable(state, cfg) == all(
+            rings.get(c & 255) == {c >> 8}
+            for c in window_codes(state.cells, n).tolist())
 
     def test_every_micro_step_flips_when_every_rate_is_one(self):
         cfg = CaConfig(TemplateSet(()), pi_01=1.0, pi_10=1.0)
@@ -502,3 +533,18 @@ class TestJumpGeneration:
         assert res.final == start
         assert not res.stable
         assert (res.stop_reason, res.changes) == ("t_limit", 0)
+
+    def test_empty_sampler_with_some_rings_unmatched_is_not_stable(self):
+        # only the all-zero window is a template: the 20 cells away from the
+        # 2x2 block of 1s are absorbing, the 16 whose window holds a 1 match
+        # nothing and, without noise, are frozen
+        start = Pattern.from_rows(["110000", "110000"] + ["000000"] * 4)
+        cfg = CaConfig(TemplateSet((Template(0),)), pi_01=0.0, pi_10=0.0,
+                       t_limit=10)
+        state = init_ca(cfg, 6, random.Random(0), start=start)
+        assert sum(bool(cfg.hit_table[c]) for c in start.codes.flat) == 20
+        assert not is_stable(state, cfg)
+        assert not any(state._buckets.members)
+        res = run_ca(cfg, start=start)
+        assert (res.stop_reason, res.changes) == ("t_limit", 0)
+        assert res.final == start

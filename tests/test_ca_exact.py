@@ -55,10 +55,10 @@ def exact_tail(case: tuple[int, float, float]) -> np.ndarray:
     states = np.arange(1 << area, dtype=np.int64)
     bits = (states[:, None] >> np.arange(area)) & 1
     codes = bits[:, window_indices(N)] @ np.array(WINDOW_WEIGHTS)
-    match_centers, full_ok = _hit_table(cfg.templates)
+    match_centers = _hit_table(cfg.templates)
     rate = np.empty(512)
-    for code in range(512):
-        centers, a = match_centers[code & 255], code >> 8
+    for code, centers in enumerate(match_centers):
+        a = code >> 8
         if centers:
             rate[code] = sum(c != a for c in centers) / len(centers)
         else:
@@ -69,7 +69,10 @@ def exact_tail(case: tuple[int, float, float]) -> np.ndarray:
                                            flips.ravel())),
                            shape=(states.size, states.size))
     matrix = (matrix + sp.diags(1.0 - step.sum(axis=1))).T.tocsr()
-    stable = full_ok[codes & 255, codes >> 8].all(axis=1)
+    # absorbing codes: the ring matches, and only templates with the center
+    absorbing = np.array([set(centers) == {code >> 8}
+                          for code, centers in enumerate(match_centers)])
+    stable = absorbing[codes].all(axis=1)
     ones = bits.sum(axis=1)
     dist = DENSITY ** ones * (1 - DENSITY) ** (area - ones)
     tail = [dist[~stable].sum()]

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,6 +115,30 @@ class TestWindowCodes:
         assert (window_codes(p.to_array(), p.n) == codes).all()
 
 
+class TestPatternCodes:
+    @given(patterns)
+    def test_is_the_window_code_grid(self, p):
+        assert (p.codes == window_codes(p.cells, p.n).reshape(p.n, p.n)).all()
+        assert p.codes is p.codes  # computed once
+
+    def test_read_only(self, optimal7):
+        with pytest.raises(ValueError):
+            optimal7.codes[0, 0] = 0
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        read, fresh = Pattern.zeros(4), Pattern.zeros(4)
+        read.codes
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+
+    def test_pickle_round_trips_after_codes_were_read(self, optimal7):
+        optimal7.codes
+        back = pickle.loads(pickle.dumps(optimal7))
+        assert back == optimal7
+        assert (back.codes == optimal7.codes).all()
+        assert not back.codes.flags.writeable
+
+
 class TestBitboard:
     def test_bit_k_is_flat_cell_k(self):
         p = Pattern.zeros(5)
@@ -191,6 +217,12 @@ class TestTextFormat:
     def test_illegal_character_names_line_number(self):
         with pytest.raises(PatternError, match="line 3"):
             parse("000\n010\n0x0")
+
+    def test_blank_lines_at_both_ends_skipped(self):
+        p = parse("\n010\n101\n010\n\n")
+        assert p.rows() == ["010", "101", "010"]
+        with pytest.raises(PatternError, match="line 3"):
+            parse("\n\n01\n010\n010\n")  # counted from the first line
 
     def test_non_square_rejected(self):
         with pytest.raises(PatternError):
