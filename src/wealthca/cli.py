@@ -36,10 +36,17 @@ def _read_pattern(path: str) -> Pattern:
         raise PatternError(f"bad pattern file {path}: {exc}") from None
 
 
-def _out_dir(ctx) -> Path:
+def _write(ctx, name: str, text: str) -> None:
+    """Write one file into the out-dir, creating the out-dir on first use."""
     out = Path(ctx.obj["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    (out / name).write_text(text)
+
+
+def _report(ctx, name: str, doc: dict) -> None:
+    """Write doc to the out-dir as indented JSON and echo it as one line."""
+    _write(ctx, name, json.dumps(doc, indent=2) + "\n")
+    click.echo(json.dumps(doc))
 
 
 def _ca_summary(res: CaRunResult) -> dict:
@@ -67,8 +74,7 @@ class _Command(click.Command):
                 "version": __version__,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
             }
-            (_out_dir(ctx) / "manifest.json").write_text(
-                json.dumps(manifest, indent=2) + "\n")
+            _write(ctx, "manifest.json", json.dumps(manifest, indent=2) + "\n")
         except (ValueError, OSError) as exc:
             click.echo(json.dumps({"error": {"stage": ctx.info_name,
                                              "message": str(exc)}}),
@@ -112,17 +118,14 @@ def ga(ctx, n, pop, p1, p2, iters, target, top):
     cfg = GaConfig(population_size=pop, p1=p1, p2=p2, max_iterations=iters,
                    target_fitness=target, seed=ctx.obj["seed"])
     result = run_ga(cfg, n)
-    out = _out_dir(ctx)
     for rank, sol in enumerate(result.solutions[:top]):
-        (out / f"ga_best_{rank}.txt").write_text(serialize(sol.pattern))
-    summary = {
+        _write(ctx, f"ga_best_{rank}.txt", serialize(sol.pattern))
+    _report(ctx, "ga_summary.json", {
         "best_tps": result.best_fitness,
         "best_wealth": wealth(result.best.pattern),
         "iterations_used": result.iterations,
         "seed": ctx.obj["seed"],
-    }
-    (out / "ga_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    click.echo(json.dumps(summary))
+    })
 
 
 @main.command()
@@ -151,22 +154,15 @@ def evolve(ctx, rule, n, tlimit, init_path, init_density, select, pi01, pi10,
 
     def dump(state):  # run_ca calls it only once its input is checked
         if state.t % dump_every == 0:
-            (_out_dir(ctx) / f"evolve_t{state.t:05d}.txt").write_text(
-                serialize(state.pattern))
+            _write(ctx, f"evolve_t{state.t:05d}.txt", serialize(state.pattern))
 
     result = run_ca(cfg, n=n, start=start,
                     on_generation=dump if dump_every else None)
-    out = _out_dir(ctx)
-    (out / "evolve_final.txt").write_text(serialize(result.final))
-    with open(out / "evolve_trace.csv", "w") as fh:
-        fh.write("t,tps,wealth,stable\n")
-        for row in result.trace:
-            fh.write(f"{row.t},{row.tps:g},{row.wealth:.6f},"
-                     f"{int(row.stable)}\n")
-    summary = _ca_summary(result)
-    (out / "evolve_summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n")
-    click.echo(json.dumps(summary))
+    _write(ctx, "evolve_final.txt", serialize(result.final))
+    _write(ctx, "evolve_trace.csv", "t,tps,wealth,stable\n" + "".join(
+        f"{row.t},{row.tps:g},{row.wealth:.6f},{int(row.stable)}\n"
+        for row in result.trace))
+    _report(ctx, "evolve_summary.json", _ca_summary(result))
 
 
 @main.command()
@@ -189,12 +185,10 @@ def analyze(ctx, in_path):
     p = _read_pattern(in_path)
     rep = structure_report(p)
     cc = characteristic(p)
-    doc = {"structure": dataclasses.asdict(rep),
-           "characteristic": dataclasses.asdict(cc),
-           "singularity_positions": detect_singularities(p)}
-    (_out_dir(ctx) / "analyze.json").write_text(
-        json.dumps(doc, indent=2) + "\n")
-    click.echo(json.dumps(doc))
+    _report(ctx, "analyze.json", {
+        "structure": dataclasses.asdict(rep),
+        "characteristic": dataclasses.asdict(cc),
+        "singularity_positions": detect_singularities(p)})
 
 
 @main.command()
@@ -216,8 +210,7 @@ def oracle(ctx, n):
     res = brute_force_oracle(n)
     doc = {"max_tps": res.max_tps, "n_optima": res.n_optima,
            "representatives": [p.rows() for p in res.representatives]}
-    (_out_dir(ctx) / "oracle.json").write_text(
-        json.dumps(doc, indent=2) + "\n")
+    _write(ctx, "oracle.json", json.dumps(doc, indent=2) + "\n")
     click.echo(json.dumps({"max_tps": res.max_tps,
                            "n_optima": res.n_optima,
                            "n_classes": len(res.representatives)}))
@@ -241,15 +234,11 @@ def bench(ctx, rule, n, runs, tlimit, use_points):
     summary = run_experiment(
         cfg, n, runs, start=point_filled(n) if use_points else None,
         seed=ctx.obj["seed"], jobs=ctx.obj["jobs"])
-    out = _out_dir(ctx)
     doc = dataclasses.asdict(summary)
     doc.pop("runs")
-    (out / "bench_summary.json").write_text(json.dumps(doc, indent=2) + "\n")
-    with open(out / "bench_histogram.csv", "w") as fh:
-        fh.write("wealth,count\n")
-        for w, c in summary.wealth_histogram:
-            fh.write(f"{w:.4f},{c}\n")
-    click.echo(json.dumps(doc))
+    _write(ctx, "bench_histogram.csv", "wealth,count\n" + "".join(
+        f"{w:.4f},{c}\n" for w, c in summary.wealth_histogram))
+    _report(ctx, "bench_summary.json", doc)
 
 
 @main.command("expected-wealth")
@@ -259,17 +248,10 @@ def expected_wealth_cmd(ctx, step):
     """Mean-field wealth curve over the cooperation rate, as CSV."""
     if not 0.0 < step <= 1.0:
         raise ValueError(f"step must be in (0, 1], got {step}")
-    lines = ["pi_C,W"]
-    k = 0
-    while True:
-        pi_c = k * step
-        if pi_c > 1.0 + 1e-12:
-            break
-        pi_c = min(pi_c, 1.0)
-        lines.append(f"{pi_c:.6g},{expected_wealth(pi_c):.6g}")
-        k += 1
-    text = "\n".join(lines) + "\n"
-    (_out_dir(ctx) / "expected_wealth.csv").write_text(text)
+    rates = (min(k * step, 1.0) for k in range(int((1 + 1e-12) / step) + 1))
+    text = "pi_C,W\n" + "".join(
+        f"{pi_c:.6g},{expected_wealth(pi_c):.6g}\n" for pi_c in rates)
+    _write(ctx, "expected_wealth.csv", text)
     click.echo(text, nl=False)
 
 
@@ -295,7 +277,7 @@ def payoff_map(ctx, in_path):
     width = max(len(f"{v:g}") for v in grid.reshape(-1))
     text = "\n".join(
         " ".join(f"{v:{width}g}" for v in row) for row in grid) + "\n"
-    (_out_dir(ctx) / "payoff_map.txt").write_text(text)
+    _write(ctx, "payoff_map.txt", text)
     click.echo(text, nl=False)
 
 
@@ -320,29 +302,24 @@ def pipeline(ctx, n, iters, tlimit, rule_from, target):
     # the templates come from the GA's best; check the rest before any output
     ca_cfg = CaConfig(templates=TemplateSet(()), t_limit=tlimit, seed=seed)
     ga_res = run_ga(ga_cfg, n)
-    out = _out_dir(ctx)
     master = ga_res.best.pattern
-    (out / "pipeline_master.txt").write_text(serialize(master))
+    _write(ctx, "pipeline_master.txt", serialize(master))
 
     if rule_from == "extracted":
         ts = extract_templates(master)
     else:
         ts = builtin_set(int(rule_from))
-    (out / "pipeline_templates.txt").write_text(serialize_templates(ts))
+    _write(ctx, "pipeline_templates.txt", serialize_templates(ts))
 
     ca_res = run_ca(dataclasses.replace(ca_cfg, templates=ts), n=n)
-    (out / "pipeline_evolved.txt").write_text(serialize(ca_res.final))
-
-    doc = {
+    _write(ctx, "pipeline_evolved.txt", serialize(ca_res.final))
+    _report(ctx, "pipeline_summary.json", {
         "ga": {"best_tps": ga_res.best_fitness,
                "iterations_used": ga_res.iterations},
         "templates": {"count": len(ts), "labels": ts.labels()},
         "ca": _ca_summary(ca_res),
         "analysis": dataclasses.asdict(structure_report(ca_res.final)),
-    }
-    (out / "pipeline_summary.json").write_text(
-        json.dumps(doc, indent=2) + "\n")
-    click.echo(json.dumps(doc))
+    })
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ def total_payoff_grid(p: Pattern,
                       params: PayoffParams = DEFAULT_PARAMS) -> np.ndarray:
     """(n, n) array of each cell's summed payoff against its K opponents.
 
-    Only the per-cell map needs this; totals go through tps_of_bits.
+    Only the per-cell map needs this; totals use the pair-sum form.
     """
     codes = p.codes
     center = codes >> 8
@@ -103,7 +103,11 @@ def wealth(p: Pattern, params: PayoffParams = DEFAULT_PARAMS) -> float:
 
 def expected_wealth(pi_c: float,
                     params: PayoffParams = DEFAULT_PARAMS) -> float:
-    """Mean-field wealth for a population cooperating at rate pi_c."""
+    """Mean-field wealth over pairs (K = 8); params.self_play is ignored.
+
+    Only without self_play is it the exact E[W] of a Bernoulli pattern: under
+    the default self_play that mean is 13/12, not 9/8, at pi_c = 0.75.
+    """
     if not 0.0 <= pi_c <= 1.0:
         raise ValueError(f"cooperation rate must be in [0, 1], got {pi_c}")
     pi_d = 1.0 - pi_c

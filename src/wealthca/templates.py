@@ -257,14 +257,15 @@ def serialize_templates(ts: TemplateSet) -> str:
 
 
 def parse_templates(text: str) -> TemplateSet:
-    """Parse blank-line separated 3-line blocks, optional '# label' lines."""
+    """Parse 3-line blocks, each with an optional '# label' line before it."""
     out, rows, label = [], [], ""
     for line in [*map(str.strip, text.splitlines()), ""]:
+        if rows and (not line or line.startswith("#")):
+            # a blank line, a label line or the end closes the block
+            out.append(Template.from_rows(rows, label))
+            rows, label = [], ""
         if line.startswith("#"):
             label = line.lstrip("#").strip()
         elif line:
             rows.append(line)
-        elif rows:  # a blank line (or the end) closes the block
-            out.append(Template.from_rows(rows, label))
-            rows, label = [], ""
     return TemplateSet(tuple(out))

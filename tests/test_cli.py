@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -265,3 +266,105 @@ class TestPipeline:
         assert doc["ca"]["changes"] >= 0
         assert doc["ca"]["tps_final"] == 387.0
         assert doc["analysis"]["points"] == 9
+
+
+P7 = "0000000\n0100100\n0000000\n0100101\n0000000\n0101000\n0000000\n"
+
+
+def _key_paths(doc, prefix=""):
+    paths = []
+    for key, value in doc.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths += _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+# Each case: its arguments, the files it writes with the SHA-256 of each
+# deterministic one (None: name only), and for the commands that report
+# through a seeded search or CA run, the key paths of that JSON report.
+# Those runs pin no bytes, so a new random stream keeps the test passing.
+ARTIFACTS = [
+    (("ga", "--n", "4", "--pop", "10", "--iters", "50", "--top", "2"),
+     dict.fromkeys(["ga_best_0.txt", "ga_best_1.txt", "ga_summary.json",
+                    "manifest.json"]),
+     ["best_tps", "best_wealth", "iterations_used", "seed"]),
+    (("evolve", "--rule", "52", "--n", "9", "--tlimit", "1",
+      "--dump-every", "1"),
+     dict.fromkeys(["evolve_final.txt", "evolve_summary.json",
+                    "evolve_t00000.txt", "evolve_t00001.txt",
+                    "evolve_trace.csv", "manifest.json"]),
+     ["changes", "stable", "stop_reason", "t_max", "tps_final", "w_max"]),
+    (("evolve", "--rule", "36", "--n", "9", "--tlimit", "3", "--select",
+      "sequential"),
+     dict.fromkeys(["evolve_final.txt", "evolve_summary.json",
+                    "evolve_trace.csv", "manifest.json"]),
+     ["changes", "stable", "stop_reason", "t_max", "tps_final", "w_max"]),
+    (("bench", "--rule", "8", "--n", "4", "--runs", "2", "--tlimit", "5"),
+     dict.fromkeys(["bench_histogram.csv", "bench_summary.json",
+                    "manifest.json"]),
+     ["n_opt_found", "n_runs", "n_stable", "t_avrg", "t_limit", "t_max",
+      "t_min", "w_max_avrg", "w_max_max", "wealth_histogram"]),
+    (("pipeline", "--n", "4", "--iters", "100", "--tlimit", "10"),
+     dict.fromkeys(["manifest.json", "pipeline_evolved.txt",
+                    "pipeline_master.txt", "pipeline_summary.json",
+                    "pipeline_templates.txt"]),
+     ["analysis", "analysis.dominoes", "analysis.ones", "analysis.points",
+      "analysis.singularities", "analysis.zero_cells", "ca", "ca.changes",
+      "ca.stable", "ca.stop_reason", "ca.t_max", "ca.tps_final", "ca.w_max",
+      "ga", "ga.best_tps", "ga.iterations_used", "templates",
+      "templates.count", "templates.labels"]),
+    (("analyze", "--in", "p7.txt"),
+     {"analyze.json":
+      "66d88c9aa93a9e00ab9029b7552a318529ce5000fe0ee862f70825da780e5b6a",
+      "manifest.json": None}, None),
+    (("oracle", "--n", "3"),
+     {"oracle.json":
+      "3e489d120255a8edb71d98c367e629c2a7cbc22394fcbc327e26936e86065562",
+      "manifest.json": None}, None),
+    (("expected-wealth", "--step", "0.1"),
+     {"expected_wealth.csv":
+      "08e4e847a0a3b0833e97fe7eb9073d8cafd478774b8cd9a8eaa8fa944cbff19c",
+      "manifest.json": None}, None),
+    (("payoff-map", "--in", "p7.txt"),
+     {"payoff_map.txt":
+      "53e3b1f93abeab536f9849e6524ecbaefc988a89577de469513786b0265bec2b",
+      "manifest.json": None}, None),
+    (("construct", "--n", "7", "--out", "opt7.txt"),
+     {"opt7.txt":
+      "f7031e20541b98b5e501df352827ecc5de590c88bfe5b933856b9d72217aba73",
+      "manifest.json": None}, None),
+    (("extract", "--in", "p7.txt", "--out", "templates.txt"),
+     {"templates.txt":
+      "72f0fa0f2fc994913cdbc45446528618632bf15cca3fc6ca150f023457e9bec5",
+      "manifest.json": None}, None),
+    (("render", "--in", "p7.txt", "--out", "p.ppm", "--scale", "2", "--quad",
+      "--mark-singularities"),
+     {"p.ppm":
+      "1cf3502cee84f59a58589fac80a6b66c36477134094435b49c9511f70f4cba01",
+      "manifest.json": None}, None),
+]
+
+
+@pytest.mark.parametrize("args, files, report_keys", ARTIFACTS,
+                         ids=[" ".join(case[0]) for case in ARTIFACTS])
+def test_out_dir_artifacts(runner, tmp_path, args, files, report_keys):
+    (tmp_path / "p7.txt").write_text(P7)
+    out = tmp_path / "out"
+    out.mkdir()
+    # an --in file lives next to the out-dir, an --out file inside it
+    where = {"--in": tmp_path, "--out": out}
+    args = [str(where[flag] / arg) if flag in where else arg
+            for flag, arg in zip(("", *args), args)]
+    res = invoke(runner, out, *args)
+    assert sorted(f.name for f in out.iterdir()) == sorted(files)
+    for name, digest in files.items():
+        if digest is not None:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, name
+    if report_keys is not None:
+        (report,) = [name for name in files
+                     if name.endswith(".json") and name != "manifest.json"]
+        doc = json.loads((out / report).read_text())
+        assert json.loads(res.output) == doc
+        assert sorted(_key_paths(doc)) == report_keys

@@ -152,6 +152,26 @@ class TestExpectedWealth:
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert expected_wealth(x) == pytest.approx(3 * x - 2 * x * x)
 
+    @given(st.floats(0.0, 1.0),
+           payoff_params.map(
+               lambda q: dataclasses.replace(q, self_play=False)))
+    def test_bernoulli_mean_without_self_play(self, pi_c, params):
+        # E[W] of a pattern whose cells defect independently with rate pi_d
+        c0, c1, c2 = params.pair_sum
+        pi_d = 1.0 - pi_c
+        assert expected_wealth(pi_c, params) == pytest.approx(
+            (c0 + c1 * pi_d + 4 * c2 * pi_d ** 2) / params.k, abs=1e-9)
+
+    def test_self_play_is_ignored(self):
+        # the curve keeps 9/8 at 3/4; the Bernoulli mean under self-play
+        # (K = 9, the defaults) is (25 x - 16 x^2) / 9 = 13/12 there
+        c0, c1, c2 = DEFAULT_PARAMS.pair_sum
+        bernoulli = (c0 + c1 * 0.25 + 4 * c2 * 0.25 ** 2) / DEFAULT_PARAMS.k
+        assert bernoulli == pytest.approx(13 / 12)
+        assert expected_wealth(0.75) == pytest.approx(1.125)
+        assert (expected_wealth(0.75, PayoffParams(self_play=False))
+                == expected_wealth(0.75))
+
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             expected_wealth(1.5)

@@ -223,6 +223,13 @@ class TestTemplateText:
         assert len(ts) == 2
         assert ts.labels() == ["", ""]
 
+    @pytest.mark.parametrize("text", [
+        "# A\n000\n010\n000\n# B\n\n000\n011\n000\n",
+        "# A\n000\n010\n000\n# B\n000\n011\n000\n",
+    ], ids=["label-then-blank", "label-only"])
+    def test_label_line_closes_the_open_block(self, text):
+        assert parse_templates(text).labels() == ["A", "B"]
+
     def test_bad_block_shape(self):
         with pytest.raises(PatternError):
             parse_templates("010\n000\n")
