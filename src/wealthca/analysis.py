@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -245,16 +246,17 @@ def _one_run(cfg: CaConfig | GaConfig, n: int, start: Pattern | None,
 def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
                    params: PayoffParams = DEFAULT_PARAMS,
                    start: Pattern | None = None,
-                   seed: int = 0, jobs: int = 1) -> ExperimentSummary:
+                   jobs: int = 1) -> ExperimentSummary:
     """n_runs independent seeded runs of the GA or the CA, aggregated.
 
     The engine follows from cfg: a GaConfig runs the GA, a CaConfig the CA
-    (from start, if given; start is refused for the GA). Per-run best wealth
-    (best TPS / (K n^2)) and its time feed the summary statistics: for the
-    CA the first generation that attains it, for the GA the number of
-    iterations used. The histogram buckets wealth rounded to 4 decimals.
-    n_opt_found counts the runs whose best TPS reaches the goal: cfg's
-    target, else optimal_tps(n) for DEFAULT_PARAMS, else None.
+    (from start, if given; start is refused for the GA). Run i is cfg with
+    seed derive_seed(cfg.seed, i). Per-run best wealth (best TPS / (K n^2))
+    and its time feed the summary statistics: for the CA the first
+    generation that attains it, for the GA the number of iterations used.
+    The histogram buckets wealth rounded to 4 decimals. n_opt_found counts
+    the runs whose best TPS reaches the goal: cfg's target, else
+    optimal_tps(n) for DEFAULT_PARAMS, else None.
     """
     if not isinstance(cfg, (CaConfig, GaConfig)):
         raise ValueError(f"experiment config must be a CaConfig or a "
@@ -266,7 +268,7 @@ def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     run = functools.partial(_one_run, cfg, n, start, params)
-    seeds = [derive_seed(seed, i) for i in range(n_runs)]
+    seeds = [derive_seed(cfg.seed, i) for i in range(n_runs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
@@ -276,10 +278,7 @@ def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
 
     bests, t_list, stables = zip(*results)
     w_list = [best / (params.k * n * n) for best in bests]
-    hist: dict[float, int] = {}
-    for w in w_list:
-        key = round(w, 4)
-        hist[key] = hist.get(key, 0) + 1
+    hist = Counter(round(w, 4) for w in w_list)
     if isinstance(cfg, GaConfig):
         t_limit, goal = cfg.max_iterations, cfg.target_fitness
     else:

@@ -71,13 +71,8 @@ class CaState:
     t: int = 0
     cursor: int = 0  # next cell under sequential selection
     changes: int = 0
-    # per cell: its window's flat indices (_window_flat_indices)
-    _windows: tuple = field(init=False, repr=False, compare=False)
     # cells grouped by change probability (see _sampler), kept by _flip
     _buckets: _Buckets | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._windows = _window_flat_indices(self.n)
 
     @property
     def pattern(self) -> Pattern:
@@ -140,18 +135,20 @@ def _rate_table(ts: TemplateSet, pi_01: float, pi_10: float):
 class _Buckets:
     """Cells grouped by nonzero change probability under one rate table.
 
-    codes[c] is cell c's window code, slot[c] its bucket (-1: rate 0) and
-    pos[c] its index in members[slot[c]]; members lists are kept by
-    swap-remove, so their order is arbitrary. ones and pairs are the
-    pattern's defectors and 8-neighbor defector pairs (E of
-    payoff.pair_count), so TPS reads off them in O(1).
+    codes[c] is cell c's window code, windows[c] its window's flat indices,
+    slot[c] its bucket (-1: rate 0) and pos[c] its index in
+    members[slot[c]]; members lists are kept by swap-remove, so their order
+    is arbitrary. ones and pairs are the pattern's defectors and 8-neighbor
+    defector pairs (E of payoff.pair_count), so TPS reads off them in O(1).
     """
 
-    __slots__ = ("table", "codes", "slot", "pos", "members", "ones", "pairs")
+    __slots__ = ("table", "windows", "codes", "slot", "pos", "members",
+                 "ones", "pairs")
 
     def __init__(self, cells, n: int, table):
         rates, bucket = table
         self.table = table
+        self.windows = _window_flat_indices(n)
         codes = window_codes(cells, n)
         # a defector pair lies in the outer rings of both its cells
         rings = np.bitwise_count(codes[codes >= 256] & 255)
@@ -181,7 +178,7 @@ def _window_flat_indices(n: int):
 _FLIP_BITS = (WINDOW_WEIGHTS[0], *WINDOW_WEIGHTS[:0:-1])
 
 
-def init_ca(cfg: CaConfig, n: int, rng: random.Random,
+def init_ca(cfg: CaConfig, n: int | None, rng: random.Random,
             start: Pattern | None = None) -> CaState:
     """Random Bernoulli(init_density) start, or adopt an explicit pattern."""
     if start is not None:
@@ -215,7 +212,7 @@ def _flip(state: CaState, bk: _Buckets, cell: int) -> None:
     # its defector neighbors, read before its own code changes
     bk.pairs += d * (codes[cell] & 255).bit_count()
     state.changes += 1
-    for j, bit in zip(state._windows[cell], _FLIP_BITS):
+    for j, bit in zip(bk.windows[cell], _FLIP_BITS):
         code = codes[j] ^ bit
         codes[j] = code
         new, old = bucket[code], slot[j]
@@ -354,7 +351,7 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
         raise ValueError(f"grid size {n} disagrees with the "
                          f"{start.n}x{start.n} start pattern")
     rng = random.Random(cfg.seed)
-    state = init_ca(cfg, n if n is not None else 0, rng, start)
+    state = init_ca(cfg, n, rng, start)
     bk = _sampler(state, cfg)
     area = state.n * state.n
     c0, c1, c2 = params.pair_sum

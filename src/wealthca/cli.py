@@ -1,7 +1,8 @@
 """Command-line interface covering the whole pipeline.
 
-Every successful invocation writes a manifest.json next to its outputs, last,
-so any result can be re-derived from the recorded parameters and seed.
+Every successful invocation writes <subcommand>_manifest.json next to its
+outputs, last, so any result can be re-derived from the recorded parameters
+and seed.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .grid import Pattern, PatternError, parse, serialize
 from .payoff import (characteristic, expected_wealth, total_payoff_grid,
                      wealth)
 from .render import write_ppm
-from .templates import (TemplateSet, builtin_set, extract_templates,
-                        serialize_templates)
+from .templates import (RULE_SIZES, TemplateSet, builtin_set,
+                        extract_templates, serialize_templates)
+
+_RULES = [str(size) for size in RULE_SIZES]  # the built-in rule choices
 
 
 def _read_pattern(path: str) -> Pattern:
@@ -60,8 +63,8 @@ class _Command(click.Command):
 
     A ValueError (PatternError included) or an OSError becomes
     {"error": {"stage": ..., "message": ...}} on stderr with exit 1. A run
-    that returns normally writes manifest.json last, recording every
-    parameter under its click name. Click's usage errors keep exit 2.
+    that returns normally writes <subcommand>_manifest.json last, recording
+    every parameter under its click name. Click's usage errors keep exit 2.
     """
 
     def invoke(self, ctx):
@@ -74,7 +77,8 @@ class _Command(click.Command):
                 "version": __version__,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
             }
-            _write(ctx, "manifest.json", json.dumps(manifest, indent=2) + "\n")
+            _write(ctx, f"{ctx.info_name}_manifest.json",
+                   json.dumps(manifest, indent=2) + "\n")
         except (ValueError, OSError) as exc:
             click.echo(json.dumps({"error": {"stage": ctx.info_name,
                                              "message": str(exc)}}),
@@ -129,7 +133,7 @@ def ga(ctx, n, pop, p1, p2, iters, target, top):
 
 
 @main.command()
-@click.option("--rule", type=click.Choice(["8", "36", "52"]), required=True)
+@click.option("--rule", type=click.Choice(_RULES), required=True)
 @click.option("--n", type=int, default=None)
 @click.option("--tlimit", type=int, default=100, show_default=True)
 @click.option("--init", "init_path", type=click.Path(), default=None,
@@ -217,7 +221,7 @@ def oracle(ctx, n):
 
 
 @main.command()
-@click.option("--rule", type=click.Choice(["8", "36", "52"]), required=True)
+@click.option("--rule", type=click.Choice(_RULES), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--runs", type=int, default=100, show_default=True)
 @click.option("--tlimit", type=int, default=100, show_default=True)
@@ -230,10 +234,10 @@ def bench(ctx, rule, n, runs, tlimit, use_points):
     n_opt_found counts the runs that reach the known optimum for n (null
     where none is known).
     """
-    cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit)
-    summary = run_experiment(
-        cfg, n, runs, start=point_filled(n) if use_points else None,
-        seed=ctx.obj["seed"], jobs=ctx.obj["jobs"])
+    cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit,
+                   seed=ctx.obj["seed"])
+    start = point_filled(n) if use_points else None
+    summary = run_experiment(cfg, n, runs, start=start, jobs=ctx.obj["jobs"])
     doc = dataclasses.asdict(summary)
     doc.pop("runs")
     _write(ctx, "bench_histogram.csv", "wealth,count\n" + "".join(
@@ -285,8 +289,7 @@ def payoff_map(ctx, in_path):
 @click.option("--n", type=int, required=True)
 @click.option("--iters", type=int, default=10_000, show_default=True)
 @click.option("--tlimit", type=int, default=2000, show_default=True)
-@click.option("--rule-from",
-              type=click.Choice(["extracted", "8", "36", "52"]),
+@click.option("--rule-from", type=click.Choice(["extracted", *_RULES]),
               default="extracted", show_default=True,
               help="CA rule source: templates extracted from the GA best, "
                    "or a built-in set.")

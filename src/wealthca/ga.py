@@ -78,12 +78,9 @@ class Population:
                 for b, f in zip(self.boards, self.fitness)]
 
 
-def init_population(cfg: GaConfig, n: int,
-                    params: PayoffParams = DEFAULT_PARAMS,
-                    rng: np.random.Generator | None = None) -> Population:
+def init_population(cfg: GaConfig, n: int, rng: np.random.Generator,
+                    params: PayoffParams = DEFAULT_PARAMS) -> Population:
     """M patterns of i.i.d. fair-coin bits, fitness computed for each."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     bits = rng.integers(0, 2, size=(cfg.population_size, n * n),
                         dtype=np.uint8)
     return Population(n, pack_rows(bits), params)
@@ -140,7 +137,7 @@ def run_ga(cfg: GaConfig, n: int,
     """
     check_size(n)
     rng = np.random.default_rng(cfg.seed)
-    pop = init_population(cfg, n, params, rng)
+    pop = init_population(cfg, n, rng, params)
     iterations = 0
     while iterations < cfg.max_iterations:
         if (cfg.target_fitness is not None

@@ -71,7 +71,7 @@ class Pattern:
         except (TypeError, ValueError):
             data = None
         if data is None or data.translate(None, b"\0\1"):
-            raise PatternError("cell values must be the ints 0 or 1")
+            raise PatternError("cell values must be 0 or 1")
         if len(data) != self.n * self.n:
             raise PatternError(
                 f"expected {self.n * self.n} cells, got {len(data)}")
@@ -95,10 +95,9 @@ class Pattern:
             raise PatternError(f"expected {len(rows)} rows of {len(rows)} "
                                f"cells, got row lengths "
                                f"{[len(r) for r in rows]}")
-        cells = [v for r in rows for v in r]
-        if any(v not in (0, 1, "0", "1") for v in cells):
-            raise PatternError("cell values must be 0, 1, '0' or '1'")
-        return cls(len(rows), tuple(map(int, cells)))
+        # the digits become ints; __post_init__ checks every cell
+        return cls(len(rows), tuple(int(v) if v in ("0", "1") else v
+                                    for r in rows for v in r))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Pattern":

@@ -14,7 +14,7 @@ from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Coord, Pattern, PatternError,
 # The 52 canonical templates. T0-T7 suffice for even grid sizes (pure point
 # patterns); T8-T35 add domino-induced neighborhoods; T36-T51 come from the
 # 2x2 zero-block singularities of odd-size optima. The second label names the
-# symmetry family.
+# symmetry family (Template.family).
 _BUILTIN = [
     ("T0", "A", "000 010 000"),
     ("T1", "B0", "000 101 000"),
@@ -69,6 +69,7 @@ _BUILTIN = [
     ("T50", "K6", "000 100 001"),
     ("T51", "K7", "001 100 000"),
 ]
+_FAMILY = {label: family for label, family, _ in _BUILTIN}
 
 RULE_SIZES = (8, 36, 52)
 
@@ -86,7 +87,6 @@ class Template:
 
     code: int
     label: str = ""
-    family: str = ""
 
     def __post_init__(self):
         if not 0 <= self.code < 512:
@@ -94,21 +94,17 @@ class Template:
                                f"got {self.code}")
 
     @classmethod
-    def from_rows(cls, rows, label: str = "", family: str = "") -> "Template":
+    def from_rows(cls, rows, label: str = "") -> "Template":
         """The template with the given three rows of 0/1 cells.
 
-        Cells are ints or '0'/'1' characters; anything else, or a shape
-        other than 3x3, raises PatternError.
+        A shape other than 3x3 raises PatternError, and so do cells that
+        Pattern.from_rows refuses. The code is the center window's code.
         """
         rows = [list(r) for r in rows]
-        shown = ["".join(map(str, r)) for r in rows]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            shown = ["".join(map(str, r)) for r in rows]
             raise PatternError(f"template must be 3x3, got {shown}")
-        cells = [v for r in rows for v in r]
-        if any(v not in (0, 1, "0", "1") for v in cells):
-            raise PatternError(f"template cells must be 0 or 1, got {shown}")
-        return cls(sum(w for w, v in zip(_ROW_WEIGHTS, cells) if int(v)),
-                   label, family)
+        return cls(int(Pattern.from_rows(rows).codes[1, 1]), label)
 
     @property
     def values(self) -> tuple[tuple[int, int, int], ...]:
@@ -119,6 +115,12 @@ class Template:
     @property
     def center(self) -> int:
         return self.code >> 8
+
+    @property
+    def family(self) -> str:
+        """The symmetry family of a built-in template's code, else ''."""
+        t = _builtin().get(self.code)
+        return _FAMILY[t.label] if t else ""
 
     def outer_code(self) -> int:
         """Outer cells packed into 8 bits, first outer cell = bit 0."""
@@ -166,8 +168,8 @@ class TemplateSet:
 @lru_cache(maxsize=None)
 def _builtin() -> dict:
     """The built-in templates in label order, keyed by their codes."""
-    ts = (Template.from_rows(rows.split(), label, family)
-          for label, family, rows in _BUILTIN)
+    ts = (Template.from_rows(rows.split(), label)
+          for label, _, rows in _BUILTIN)
     return {t.code: t for t in ts}
 
 

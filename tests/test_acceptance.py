@@ -65,8 +65,9 @@ def test_criterion_2_oracle_and_small_ga():
     ok = o3.max_tps == 91.0 and o4.max_tps == 172.0 and oracle_time < 10.0
     hits = {}
     for n, optimum in ((3, 91.0), (4, 172.0)):
-        cfg = GaConfig(max_iterations=10_000, target_fitness=optimum)
-        summary = run_experiment(cfg, n, 100, seed=ACCEPTANCE_SEED)
+        cfg = GaConfig(max_iterations=10_000, target_fitness=optimum,
+                       seed=ACCEPTANCE_SEED)
+        summary = run_experiment(cfg, n, 100)
         hits[n] = summary.n_opt_found
         ok &= summary.n_opt_found >= 95
     verdict(2, ok, f"exhaustive optima 91/172 in {oracle_time:.1f}s; GA hit "
@@ -77,8 +78,9 @@ def test_criterion_3_ga_reaches_known_optima():
     hits = {}
     ok = True
     for n, optimum in ((5, 265.0), (6, 387.0)):
-        cfg = GaConfig(max_iterations=10_000, target_fitness=optimum)
-        summary = run_experiment(cfg, n, 100, seed=ACCEPTANCE_SEED)
+        cfg = GaConfig(max_iterations=10_000, target_fitness=optimum,
+                       seed=ACCEPTANCE_SEED)
+        summary = run_experiment(cfg, n, 100)
         hits[n] = summary.n_opt_found
         ok &= summary.n_opt_found >= 90
     verdict(3, ok, f"GA with defaults found 265 on {hits[5]}/100 (n=5) and "
@@ -87,10 +89,10 @@ def test_criterion_3_ga_reaches_known_optima():
 
 def test_criterion_4_even_rule_convergence():
     rule8 = builtin_set(8)
-    cfg6 = CaConfig(rule8, t_limit=2000)
-    s6 = run_experiment(cfg6, 6, 100, seed=ACCEPTANCE_SEED)
-    cfg10 = CaConfig(rule8, t_limit=5000)
-    s10 = run_experiment(cfg10, 10, 100, seed=ACCEPTANCE_SEED)
+    cfg6 = CaConfig(rule8, t_limit=2000, seed=ACCEPTANCE_SEED)
+    s6 = run_experiment(cfg6, 6, 100)
+    cfg10 = CaConfig(rule8, t_limit=5000, seed=ACCEPTANCE_SEED)
+    s10 = run_experiment(cfg10, 10, 100)
     ok = (s6.n_opt_found == 100 and s6.n_stable == 100
           and 10 <= s6.t_avrg <= 120 and s10.n_opt_found >= 95)
     verdict(4, ok, f"rule-8 runs: n=6 optimal {s6.n_opt_found}/100 with mean "
@@ -99,8 +101,8 @@ def test_criterion_4_even_rule_convergence():
 
 
 def test_criterion_5_full_rule_statistics():
-    cfg = CaConfig(builtin_set(52), t_limit=100)
-    s = run_experiment(cfg, 9, 100, seed=ACCEPTANCE_SEED)
+    cfg = CaConfig(builtin_set(52), t_limit=100, seed=ACCEPTANCE_SEED)
+    s = run_experiment(cfg, 9, 100)
     ok = (s.n_stable == 100 and s.n_opt_found >= 15
           and s.w_max_avrg >= 1.180)
     verdict(5, ok, f"rule-52 n=9: {s.n_stable}/100 stable, optimum found "
@@ -108,8 +110,8 @@ def test_criterion_5_full_rule_statistics():
 
 
 def test_criterion_6_transient_rule_statistics():
-    cfg = CaConfig(builtin_set(36), t_limit=100)
-    s = run_experiment(cfg, 9, 100, seed=ACCEPTANCE_SEED)
+    cfg = CaConfig(builtin_set(36), t_limit=100, seed=ACCEPTANCE_SEED)
+    s = run_experiment(cfg, 9, 100)
     worst = min(w for w, _, _ in s.runs)
     ok = s.n_opt_found >= 80 and worst >= 1.1840
     verdict(6, ok, f"rule-36 n=9: optimum found {s.n_opt_found}/100 times, "
@@ -118,9 +120,9 @@ def test_criterion_6_transient_rule_statistics():
 
 def test_criterion_7_point_filled_large_grid():
     target = 7821.0
-    cfg = CaConfig(builtin_set(36), t_limit=60, target_tps=target)
-    s = run_experiment(cfg, 27, 100, seed=ACCEPTANCE_SEED,
-                       start=point_filled(27))
+    cfg = CaConfig(builtin_set(36), t_limit=60, target_tps=target,
+                   seed=ACCEPTANCE_SEED)
+    s = run_experiment(cfg, 27, 100, start=point_filled(27))
     ok = s.n_opt_found >= 90
     verdict(7, ok, f"27x27 point-filled start reached TPS {target:g} within "
                    f"60 generations on {s.n_opt_found}/100 seeds")

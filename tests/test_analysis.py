@@ -13,8 +13,8 @@ from wealthca.analysis import (ORACLE_MAX_N, _canonical_bytes,
                                optimal_tps, point_filled, run_experiment,
                                structure_report, tps_formula_odd,
                                wealth_formula_odd)
-from wealthca.ca import CaConfig
-from wealthca.ga import GaConfig
+from wealthca.ca import CaConfig, run_ca
+from wealthca.ga import GaConfig, run_ga
 from wealthca.grid import (Coord, Pattern, PatternError, parse,
                           symmetry_images, transform, window_codes)
 from wealthca.payoff import (DEFAULT_PARAMS, PayoffParams, cell_total_payoff,
@@ -71,7 +71,7 @@ def ref_extract_templates(p, complete):
         nonlocal count
         if window not in seen:
             t = builtin.get(window)
-            seen[window] = (Template.from_rows(window, t.label, t.family) if t
+            seen[window] = (Template.from_rows(window, t.label) if t
                             else Template.from_rows(window, f"X{count}"))
             count += t is None
 
@@ -351,8 +351,8 @@ class TestExperiments:
                            start=Pattern.zeros(5))
 
     def test_ca_summary_consistency(self):
-        cfg = CaConfig(builtin_set(8), t_limit=60)
-        summary = run_experiment(cfg, 6, 10, seed=2)
+        cfg = CaConfig(builtin_set(8), t_limit=60, seed=2)
+        summary = run_experiment(cfg, 6, 10)
         assert summary.n_runs == 10
         assert len(summary.runs) == 10
         ws = [w for w, _, _ in summary.runs]
@@ -362,10 +362,32 @@ class TestExperiments:
         assert 0 <= summary.n_opt_found <= 10
         assert summary.t_min <= summary.t_avrg <= summary.t_max
 
+    def test_runs_are_seeded_from_the_config(self):
+        k = DEFAULT_PARAMS.k
+        for cfg, n in ((CaConfig(builtin_set(52), t_limit=30), 7),
+                       (GaConfig(population_size=10, max_iterations=300,
+                                 target_fitness=172.0), 4)):
+            runs = {}
+            for s in (0, 5):
+                runs[s] = run_experiment(dataclasses.replace(cfg, seed=s),
+                                         n, 4).runs
+                direct = []
+                for i in range(4):
+                    run_cfg = dataclasses.replace(cfg, seed=derive_seed(s, i))
+                    if isinstance(cfg, GaConfig):
+                        res = run_ga(run_cfg, n)
+                        direct.append((res.best_fitness / (k * n * n),
+                                       res.iterations, False))
+                    else:
+                        res = run_ca(run_cfg, n=n)
+                        direct.append((res.w_max, res.t_max, res.stable))
+                assert runs[s] == tuple(direct)
+            assert runs[5] != runs[0]
+
     def test_ga_experiment_reaches_small_optimum(self):
         cfg = GaConfig(population_size=16, max_iterations=500,
-                       target_fitness=91.0)
-        summary = run_experiment(cfg, 3, 5, seed=0)
+                       target_fitness=91.0, seed=0)
+        summary = run_experiment(cfg, 3, 5)
         assert summary.n_opt_found == 5
 
     def test_optimal_runs_are_counted_in_exact_tps(self):
@@ -391,13 +413,14 @@ class TestExperiments:
         assert found(cfg, params=PayoffParams(t=4.0)) is None
 
     def test_parallel_matches_serial(self):
-        for cfg, start in ((CaConfig(builtin_set(8), t_limit=40), None),
-                           (GaConfig(population_size=12, max_iterations=300),
+        for cfg, start in ((CaConfig(builtin_set(8), t_limit=40, seed=7),
                             None),
-                           (CaConfig(builtin_set(8), t_limit=20),
+                           (GaConfig(population_size=12, max_iterations=300,
+                                     seed=7), None),
+                           (CaConfig(builtin_set(8), t_limit=20, seed=7),
                             point_filled(6))):
-            a = run_experiment(cfg, 6, 8, start=start, seed=7, jobs=1)
-            b = run_experiment(cfg, 6, 8, start=start, seed=7, jobs=2)
+            a = run_experiment(cfg, 6, 8, start=start, jobs=1)
+            b = run_experiment(cfg, 6, 8, start=start, jobs=2)
             assert a == b
         # the stable lattice start is kept from t = 0
         assert a.runs == ((wealth(start), 0, True),) * 8

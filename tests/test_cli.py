@@ -22,8 +22,8 @@ def invoke(runner, tmp_path, *args, seed=0, expect_exit=0):
     return result
 
 
-def manifest(tmp_path):
-    return json.loads((tmp_path / "manifest.json").read_text())
+def manifest(tmp_path, subcommand):
+    return json.loads((tmp_path / f"{subcommand}_manifest.json").read_text())
 
 
 class TestGa:
@@ -35,7 +35,7 @@ class TestGa:
         best = parse((tmp_path / "ga_best_0.txt").read_text())
         assert tps(best) == 172.0
         assert (tmp_path / "ga_best_1.txt").exists()
-        assert manifest(tmp_path)["subcommand"] == "ga"
+        assert manifest(tmp_path, "ga")["subcommand"] == "ga"
 
     def test_reproducible_for_a_seed(self, runner, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -48,7 +48,7 @@ class TestGa:
 
     def test_manifest_records_every_option(self, runner, tmp_path):
         invoke(runner, tmp_path, "ga", "--n", "4", "--iters", "5", seed=7)
-        doc = manifest(tmp_path)
+        doc = manifest(tmp_path, "ga")
         assert doc["subcommand"] == "ga"
         assert doc["seed"] == 7
         assert doc["params"] == {"n": 4, "pop": 40, "p1": 0.2, "p2": 0.05,
@@ -197,6 +197,19 @@ class TestExtractAnalyzeConstruct:
         full = parse_templates((tmp_path / "full.txt").read_text())
         assert raw.values_set() <= full.values_set()
 
+    def test_readme_sequence_keeps_a_manifest_per_subcommand(
+            self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default out-dir is "."
+        for args in (["construct", "--n", "9", "--out", "opt9.txt"],
+                     ["analyze", "--in", "opt9.txt"],
+                     ["render", "--in", "opt9.txt", "--out", "opt9.ppm"]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+        found = {path.name: json.loads(path.read_text())["subcommand"]
+                 for path in tmp_path.glob("*manifest.json")}
+        assert found == {f"{name}_manifest.json": name
+                         for name in ("construct", "analyze", "render")}
+
     def test_construct_rejects_even(self, runner, tmp_path):
         res = invoke(runner, tmp_path, "construct", "--n", "6", expect_exit=1)
         assert json.loads(res.stderr)["error"]["stage"] == "construct"
@@ -287,26 +300,26 @@ def _key_paths(doc, prefix=""):
 ARTIFACTS = [
     (("ga", "--n", "4", "--pop", "10", "--iters", "50", "--top", "2"),
      dict.fromkeys(["ga_best_0.txt", "ga_best_1.txt", "ga_summary.json",
-                    "manifest.json"]),
+                    "ga_manifest.json"]),
      ["best_tps", "best_wealth", "iterations_used", "seed"]),
     (("evolve", "--rule", "52", "--n", "9", "--tlimit", "1",
       "--dump-every", "1"),
      dict.fromkeys(["evolve_final.txt", "evolve_summary.json",
                     "evolve_t00000.txt", "evolve_t00001.txt",
-                    "evolve_trace.csv", "manifest.json"]),
+                    "evolve_trace.csv", "evolve_manifest.json"]),
      ["changes", "stable", "stop_reason", "t_max", "tps_final", "w_max"]),
     (("evolve", "--rule", "36", "--n", "9", "--tlimit", "3", "--select",
       "sequential"),
      dict.fromkeys(["evolve_final.txt", "evolve_summary.json",
-                    "evolve_trace.csv", "manifest.json"]),
+                    "evolve_trace.csv", "evolve_manifest.json"]),
      ["changes", "stable", "stop_reason", "t_max", "tps_final", "w_max"]),
     (("bench", "--rule", "8", "--n", "4", "--runs", "2", "--tlimit", "5"),
      dict.fromkeys(["bench_histogram.csv", "bench_summary.json",
-                    "manifest.json"]),
+                    "bench_manifest.json"]),
      ["n_opt_found", "n_runs", "n_stable", "t_avrg", "t_limit", "t_max",
       "t_min", "w_max_avrg", "w_max_max", "wealth_histogram"]),
     (("pipeline", "--n", "4", "--iters", "100", "--tlimit", "10"),
-     dict.fromkeys(["manifest.json", "pipeline_evolved.txt",
+     dict.fromkeys(["pipeline_evolved.txt", "pipeline_manifest.json",
                     "pipeline_master.txt", "pipeline_summary.json",
                     "pipeline_templates.txt"]),
      ["analysis", "analysis.dominoes", "analysis.ones", "analysis.points",
@@ -317,32 +330,32 @@ ARTIFACTS = [
     (("analyze", "--in", "p7.txt"),
      {"analyze.json":
       "66d88c9aa93a9e00ab9029b7552a318529ce5000fe0ee862f70825da780e5b6a",
-      "manifest.json": None}, None),
+      "analyze_manifest.json": None}, None),
     (("oracle", "--n", "3"),
      {"oracle.json":
       "3e489d120255a8edb71d98c367e629c2a7cbc22394fcbc327e26936e86065562",
-      "manifest.json": None}, None),
+      "oracle_manifest.json": None}, None),
     (("expected-wealth", "--step", "0.1"),
      {"expected_wealth.csv":
       "08e4e847a0a3b0833e97fe7eb9073d8cafd478774b8cd9a8eaa8fa944cbff19c",
-      "manifest.json": None}, None),
+      "expected-wealth_manifest.json": None}, None),
     (("payoff-map", "--in", "p7.txt"),
      {"payoff_map.txt":
       "53e3b1f93abeab536f9849e6524ecbaefc988a89577de469513786b0265bec2b",
-      "manifest.json": None}, None),
+      "payoff-map_manifest.json": None}, None),
     (("construct", "--n", "7", "--out", "opt7.txt"),
      {"opt7.txt":
       "f7031e20541b98b5e501df352827ecc5de590c88bfe5b933856b9d72217aba73",
-      "manifest.json": None}, None),
+      "construct_manifest.json": None}, None),
     (("extract", "--in", "p7.txt", "--out", "templates.txt"),
      {"templates.txt":
       "72f0fa0f2fc994913cdbc45446528618632bf15cca3fc6ca150f023457e9bec5",
-      "manifest.json": None}, None),
+      "extract_manifest.json": None}, None),
     (("render", "--in", "p7.txt", "--out", "p.ppm", "--scale", "2", "--quad",
       "--mark-singularities"),
      {"p.ppm":
       "1cf3502cee84f59a58589fac80a6b66c36477134094435b49c9511f70f4cba01",
-      "manifest.json": None}, None),
+      "render_manifest.json": None}, None),
 ]
 
 
@@ -364,7 +377,8 @@ def test_out_dir_artifacts(runner, tmp_path, args, files, report_keys):
                 == digest, name
     if report_keys is not None:
         (report,) = [name for name in files
-                     if name.endswith(".json") and name != "manifest.json"]
+                     if name.endswith(".json")
+                     and not name.endswith("_manifest.json")]
         doc = json.loads((out / report).read_text())
         assert json.loads(res.output) == doc
         assert sorted(_key_paths(doc)) == report_keys

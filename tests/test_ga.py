@@ -68,14 +68,14 @@ class TestOffspring:
 class TestPopulation:
     def test_init_size_and_fitness(self):
         cfg = GaConfig(population_size=10, seed=3)
-        pop = init_population(cfg, 4)
+        pop = init_population(cfg, 4, np.random.default_rng(cfg.seed))
         assert len(pop) == 10
         for board, fit in zip(pop.boards, pop.fitness):
             assert fit == tps(Pattern.from_board(4, board))
 
     def test_duplicate_index_tracks_replacement(self):
         cfg = GaConfig(population_size=4, seed=0)
-        pop = init_population(cfg, 3)
+        pop = init_population(cfg, 3, np.random.default_rng(cfg.seed))
         board = pack((1,) * 9)
         assert not pop.contains_bits(board)
         pop.replace(0, board, 0.0)

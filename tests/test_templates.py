@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from wealthca.analysis import construct_optimal_odd
 from wealthca.grid import (Coord, Pattern, PatternError, symmetry_images,
                            window_codes)
 from wealthca.templates import (RULE_SIZES, Template, TemplateSet,
@@ -56,6 +57,26 @@ class TestTemplate:
             with pytest.raises(PatternError):
                 Template.from_rows(((0, 0, 0), middle, (0, 0, 0)))
 
+    @pytest.mark.parametrize("middle", [
+        (0, 2, 0), (0, -1, 0), (0, 0.5, 0), (0, 1.0, 0), (0, "x", 0), "0x0",
+        (0, None, 0)])
+    def test_refuses_the_cells_pattern_refuses(self, middle):
+        rows = ((0, 0, 0), middle, (0, 0, 0))
+        with pytest.raises(PatternError):
+            Template.from_rows(rows)
+        with pytest.raises(PatternError):
+            Pattern.from_rows(rows)
+
+    def test_family_follows_the_code(self):
+        families = [t.family for t in builtin_set(52)]
+        assert families[:3] == ["A", "B0", "B1"] and families[-1] == "K7"
+        t8 = builtin_set(52).templates[8]
+        assert Template(t8.code).family == "E0"
+        assert Template(t8.code, "X0").family == "E0"
+        builtin = {t.code for t in builtin_set(52)}
+        assert all(Template(code).family == ""
+                   for code in range(512) if code not in builtin)
+
     def test_outer_code_bit_order(self):
         # bit k corresponds to the k-th outer cell in row-major order
         t = Template.from_rows(("100", "000", "000"))
@@ -90,7 +111,7 @@ class TestTemplate:
 
     def test_equal_sets_hash_equal(self, optimal7):
         a = extract_templates(optimal7)
-        b = TemplateSet(tuple(Template(t.code, t.label, t.family) for t in a))
+        b = TemplateSet(tuple(Template(t.code, t.label) for t in a))
         assert a == b and hash(a) == hash(b)
         assert hash(builtin_set(52)) == hash(builtin_set(52))
         # labels still count in equality, though not in the hash
@@ -217,6 +238,11 @@ class TestTemplateText:
         back = parse_templates(serialize_templates(ts))
         assert back.values_set() == ts.values_set()
         assert back.labels() == ts.labels()
+
+    def test_round_trip_is_exact(self):
+        for ts in (builtin_set(52),
+                   extract_templates(construct_optimal_odd(9))):
+            assert parse_templates(serialize_templates(ts)) == ts
 
     def test_parse_without_labels(self):
         ts = parse_templates("010\n000\n000\n\n000\n000\n010\n")
