@@ -25,6 +25,8 @@ from .grid import (WINDOW_WEIGHTS, Pattern, check_size, window_codes,
 from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
 from .templates import TemplateSet
 
+SELECTIONS = ("random", "sequential")  # micro-step cell selection modes
+
 
 @dataclass(frozen=True)
 class CaConfig:
@@ -34,7 +36,7 @@ class CaConfig:
     templates: TemplateSet
     pi_01: float = 0.04
     pi_10: float = 1.0
-    selection: str = "random"  # "random" or "sequential"
+    selection: str = "random"  # one of SELECTIONS
     init_density: float = 0.25
     t_limit: int = 100
     seed: int = 0
@@ -47,7 +49,9 @@ class CaConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.t_limit < 0:
             raise ValueError("t_limit must be >= 0")
-        if self.selection not in ("random", "sequential"):
+        if self.target_tps is not None and math.isnan(self.target_tps):
+            raise ValueError("target_tps must not be NaN")
+        if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection mode {self.selection!r}")
         object.__setattr__(self, "hit_table", _hit_table(self.templates))
         object.__setattr__(self, "rate_table", _rate_table(
@@ -180,13 +184,21 @@ _FLIP_BITS = (WINDOW_WEIGHTS[0], *WINDOW_WEIGHTS[:0:-1])
 
 def init_ca(cfg: CaConfig, n: int | None, rng: random.Random,
             start: Pattern | None = None) -> CaState:
-    """Random Bernoulli(init_density) start, or adopt an explicit pattern."""
-    if start is not None:
-        n = start.n
-        cells = list(start.cells)
-    else:
+    """A run's first state: start if given, else Bernoulli(init_density)
+    cells from rng. The one size-and-start check, made before any draw: n
+    is required without a start, must be >= 3 (check_size), and must equal
+    start.n when both are given; a breach raises ValueError."""
+    if start is None:
+        if n is None:
+            raise ValueError("need a grid size or a start pattern")
+        check_size(n)
         cells = [1 if rng.random() < cfg.init_density else 0
                  for _ in range(n * n)]
+    elif n is not None and n != start.n:
+        raise ValueError(f"grid size {n} disagrees with the "
+                         f"{start.n}x{start.n} start pattern")
+    else:
+        n, cells = start.n, list(start.cells)
     return CaState(n=n, cells=cells, hits=[0] * (n * n))
 
 
@@ -341,15 +353,8 @@ def run_ca(cfg: CaConfig, n: int | None = None, start: Pattern | None = None,
     pattern is stable (see is_stable; nothing can change after that) or, if
     cfg.target_tps is set, once TPS reaches it. TPS is read off the
     sampler's counters, in tps_of_bits's expression, so the values are the
-    same.
+    same. init_ca checks n and start before generation 0.
     """
-    if start is None:
-        if n is None:
-            raise ValueError("need a grid size or a start pattern")
-        check_size(n)
-    elif n is not None and n != start.n:
-        raise ValueError(f"grid size {n} disagrees with the "
-                         f"{start.n}x{start.n} start pattern")
     rng = random.Random(cfg.seed)
     state = init_ca(cfg, n, rng, start)
     bk = _sampler(state, cfg)

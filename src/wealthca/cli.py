@@ -18,7 +18,7 @@ from . import __version__
 from .analysis import (brute_force_oracle, construct_optimal_odd,
                        detect_singularities, optimal_tps, point_filled,
                        run_experiment, structure_report)
-from .ca import CaConfig, CaRunResult, run_ca
+from .ca import SELECTIONS, CaConfig, CaRunResult, run_ca
 from .ga import GaConfig, run_ga
 from .grid import Pattern, PatternError, parse, serialize
 from .payoff import (characteristic, expected_wealth, total_payoff_grid,
@@ -91,12 +91,12 @@ class _Group(click.Group):
     command_class = _Command
 
 
-@click.group(cls=_Group)
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.group(cls=_Group, context_settings={"show_default": True})
+@click.option("--seed", type=int, default=0,
               help="Master seed; all randomness derives from it.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=int, default=1,
               help="Worker processes for bench.")
-@click.option("--out-dir", type=click.Path(), default=".", show_default=True)
+@click.option("--out-dir", type=click.Path(), default=".")
 @click.pass_context
 def main(ctx, seed, jobs, out_dir):
     """Evolve, analyze and render wealth-optimal binary patterns."""
@@ -106,13 +106,13 @@ def main(ctx, seed, jobs, out_dir):
 
 @main.command()
 @click.option("--n", type=int, required=True)
-@click.option("--pop", type=int, default=40, show_default=True)
-@click.option("--p1", type=float, default=0.2, show_default=True)
-@click.option("--p2", type=float, default=0.05, show_default=True)
-@click.option("--iters", type=int, default=10_000, show_default=True)
+@click.option("--pop", type=int, default=GaConfig.population_size)
+@click.option("--p1", type=float, default=GaConfig.p1)
+@click.option("--p2", type=float, default=GaConfig.p2)
+@click.option("--iters", type=int, default=GaConfig.max_iterations)
 @click.option("--target", type=float, default=None,
               help="Stop once the best fitness (TPS) reaches this value.")
-@click.option("--top", type=int, default=3, show_default=True,
+@click.option("--top", type=int, default=3,
               help="How many best patterns to write out.")
 @click.pass_context
 def ga(ctx, n, pop, p1, p2, iters, target, top):
@@ -135,14 +135,14 @@ def ga(ctx, n, pop, p1, p2, iters, target, top):
 @main.command()
 @click.option("--rule", type=click.Choice(_RULES), required=True)
 @click.option("--n", type=int, default=None)
-@click.option("--tlimit", type=int, default=100, show_default=True)
+@click.option("--tlimit", type=int, default=CaConfig.t_limit)
 @click.option("--init", "init_path", type=click.Path(), default=None,
               help="Start pattern file (overrides --init-density).")
-@click.option("--init-density", type=float, default=0.25, show_default=True)
-@click.option("--select", type=click.Choice(["random", "sequential"]),
-              default="random", show_default=True)
-@click.option("--pi01", type=float, default=0.04, show_default=True)
-@click.option("--pi10", type=float, default=1.0, show_default=True)
+@click.option("--init-density", type=float, default=CaConfig.init_density)
+@click.option("--select", type=click.Choice(SELECTIONS),
+              default=CaConfig.selection)
+@click.option("--pi01", type=float, default=CaConfig.pi_01)
+@click.option("--pi10", type=float, default=CaConfig.pi_10)
 @click.option("--dump-every", type=int, default=0,
               help="Dump the pattern every k generations.")
 @click.pass_context
@@ -223,8 +223,8 @@ def oracle(ctx, n):
 @main.command()
 @click.option("--rule", type=click.Choice(_RULES), required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--runs", type=int, default=100, show_default=True)
-@click.option("--tlimit", type=int, default=100, show_default=True)
+@click.option("--runs", type=int, default=100)
+@click.option("--tlimit", type=int, default=CaConfig.t_limit)
 @click.option("--point-filled", "use_points", is_flag=True,
               help="Start every run from the point-filled pattern.")
 @click.pass_context
@@ -246,7 +246,7 @@ def bench(ctx, rule, n, runs, tlimit, use_points):
 
 
 @main.command("expected-wealth")
-@click.option("--step", type=float, default=0.01, show_default=True)
+@click.option("--step", type=float, default=0.01)
 @click.pass_context
 def expected_wealth_cmd(ctx, step):
     """Mean-field wealth curve over the cooperation rate, as CSV."""
@@ -262,7 +262,7 @@ def expected_wealth_cmd(ctx, step):
 @main.command()
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--scale", type=int, default=1, show_default=True)
+@click.option("--scale", type=int, default=1)
 @click.option("--quad", is_flag=True)
 @click.option("--mark-singularities", is_flag=True)
 def render(in_path, out_path, scale, quad, mark_singularities):
@@ -287,10 +287,10 @@ def payoff_map(ctx, in_path):
 
 @main.command()
 @click.option("--n", type=int, required=True)
-@click.option("--iters", type=int, default=10_000, show_default=True)
-@click.option("--tlimit", type=int, default=2000, show_default=True)
+@click.option("--iters", type=int, default=GaConfig.max_iterations)
+@click.option("--tlimit", type=int, default=2000)
 @click.option("--rule-from", type=click.Choice(["extracted", *_RULES]),
-              default="extracted", show_default=True,
+              default="extracted",
               help="CA rule source: templates extracted from the GA best, "
                    "or a built-in set.")
 @click.option("--target", type=float, default=None,

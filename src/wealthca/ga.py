@@ -7,6 +7,7 @@ if strictly fitter and not already present cell-for-cell in the population.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -32,6 +33,9 @@ class GaConfig:
             raise ValueError("p1 and p2 must be in [0, 1]")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
+        if (self.target_fitness is not None
+                and math.isnan(self.target_fitness)):
+            raise ValueError("target_fitness must not be NaN")
 
 
 @dataclass(frozen=True)

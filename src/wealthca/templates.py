@@ -195,8 +195,9 @@ def _symmetry_codes() -> tuple[tuple[int, ...], ...]:
 def complete_under_symmetry(ts: TemplateSet) -> TemplateSet:
     """Close a set under the eight symmetries, keeping the original order.
 
-    Images are appended in closure order; they take the built-in label where
-    they are built-in, and otherwise the next X0, X1, ... not yet in use.
+    Images are appended in closure order. A built-in image takes its
+    built-in label unless a template of ts already carries that label;
+    every other image takes the next X0, X1, ... not yet in use.
     """
     out = {t.code: t for t in ts}
     used = set(ts.labels())
@@ -204,7 +205,9 @@ def complete_under_symmetry(ts: TemplateSet) -> TemplateSet:
     for t in ts:
         for code in _symmetry_codes()[t.code]:
             if code not in out:
-                out[code] = _builtin().get(code) or Template(code, next(fresh))
+                known = _builtin().get(code)
+                out[code] = (known if known and known.label not in used
+                             else Template(code, next(fresh)))
     return TemplateSet(tuple(out.values()))
 
 

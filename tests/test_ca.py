@@ -51,6 +51,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             CaConfig(RULE8, t_limit=-1)
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError):
+            CaConfig(RULE8, target_tps=float("nan"))
+
 
 class TestInit:
     def test_zero_density_gives_zero_pattern(self):
@@ -61,9 +65,18 @@ class TestInit:
 
     def test_explicit_start_adopted(self, optimal5):
         cfg = CaConfig(RULE8)
-        state = init_ca(cfg, 99, random.Random(0), start=optimal5)
+        state = init_ca(cfg, None, random.Random(0), start=optimal5)
         assert state.n == 5
         assert state.pattern == optimal5
+
+    @pytest.mark.parametrize("n, use_start", [
+        (2, False), (0, False), (None, False), (99, True)])
+    def test_refuses_bad_size_or_start(self, optimal5, n, use_start):
+        rng = random.Random(0)
+        with pytest.raises(ValueError):
+            init_ca(CaConfig(RULE8), n, rng,
+                    start=optimal5 if use_start else None)
+        assert rng.getstate() == random.Random(0).getstate()  # no draw
 
     def test_density_mean(self):
         cfg = CaConfig(RULE8, init_density=0.25)

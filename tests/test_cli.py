@@ -102,6 +102,7 @@ class TestBadInput:
         ("ga", "--n", "4", "--pop", "1"),
         ("ga", "--n", "4", "--pop", "4", "--iters", "-5"),
         ("ga", "--n", "4", "--pop", "4", "--iters", "3", "--top", "-1"),
+        ("ga", "--n", "4", "--target", "nan", "--iters", "5"),
         ("evolve", "--rule", "8", "--n", "2"),
         ("evolve", "--rule", "8", "--n", "6", "--pi01", "1.5"),
         ("evolve", "--rule", "8", "--n", "4", "--tlimit", "2",
@@ -111,6 +112,7 @@ class TestBadInput:
         ("pipeline", "--n", "2"),
         ("pipeline", "--n", "3", "--tlimit", "-1"),
         ("pipeline", "--n", "3", "--iters", "-1"),
+        ("pipeline", "--n", "3", "--target", "nan"),
         ("oracle", "--n", "6"),
         ("--jobs", "0", "bench", "--rule", "8", "--n", "4", "--runs", "2",
          "--tlimit", "5"),
@@ -166,6 +168,7 @@ class TestBadInput:
     @pytest.mark.parametrize("args", [
         ("oracle",),
         ("evolve", "--rule", "9", "--n", "4"),
+        ("evolve", "--rule", "8", "--n", "4", "--select", "spiral"),
     ], ids=lambda args: " ".join(args))
     def test_usage_errors_keep_exit_two(self, runner, tmp_path, args):
         invoke(runner, tmp_path, *args, expect_exit=2)

@@ -23,6 +23,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             GaConfig(max_iterations=-1)
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError):
+            GaConfig(target_fitness=float("nan"))
+
 
 class TestOffspring:
     # statistics of the operator ga_step runs, on masks drawn as it draws them

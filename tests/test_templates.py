@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wealthca.analysis import construct_optimal_odd
 from wealthca.grid import (Coord, Pattern, PatternError, symmetry_images,
@@ -118,6 +119,12 @@ class TestTemplate:
         assert TemplateSet(tuple(Template(t.code) for t in a)) != a
 
 
+# input labels that can collide with those completion hands out
+_LABELS = ["", *builtin_set(52).labels(), *(f"X{k}" for k in range(8))]
+_CODES = st.one_of(st.sampled_from([t.code for t in builtin_set(52)]),
+                   st.integers(0, 511))
+
+
 class TestSymmetry:
     def test_point_orbit_is_singleton(self):
         t0 = builtin_set(8).templates[0]
@@ -155,6 +162,15 @@ class TestSymmetry:
             closed = complete_under_symmetry(ts)
             assert closed.values_set() == ts.values_set()
             assert len(closed) == size
+
+    @given(st.lists(st.tuples(_CODES, st.sampled_from(_LABELS)),
+                    max_size=12, unique_by=(lambda t: t[0], lambda t: t[1])))
+    def test_completed_labels_are_unique_and_round_trip(self, pairs):
+        ts = complete_under_symmetry(
+            TemplateSet(tuple(Template(c, lab) for c, lab in pairs)))
+        labels = [lab for lab in ts.labels() if lab]
+        assert len(set(labels)) == len(labels)
+        assert parse_templates(serialize_templates(ts)) == ts
 
     def test_completion_keeps_original_order(self):
         t = Template.from_rows(("000", "110", "000"), "seed")
