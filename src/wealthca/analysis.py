@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .ca import CaConfig, run_ca
 from .ga import GaConfig, run_ga
 from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Pattern, check_size,
-                   symmetry_images)
+                   pack_rows, symmetry_images)
 from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count
 
 # Unique 5x5 optimum (up to symmetry), oriented so that border growth below
@@ -139,16 +139,13 @@ def construct_optimal_odd(n: int) -> Pattern:
     two all-zero separators and a corner square carrying a single 1.
     """
     _require_odd(n)
-    arr = np.array([[int(c) for c in row] for row in _BASE5], dtype=np.uint8)
-    while arr.shape[0] < n:
-        q = arr.shape[0]
+    arr = np.zeros((n, n), dtype=np.uint8)
+    arr[:5, :5] = [[int(c) for c in row] for row in _BASE5]
+    for q in range(5, n, 2):  # grow the top-left q x q block in place
         m = (q - 3) // 2
-        grown = np.zeros((q + 2, q + 2), dtype=np.uint8)
-        grown[:q, :q] = arr
-        grown[q + 1, :q] = [1, 1, 0] + [1, 0] * m
-        grown[:q, q] = [0, 1, 1] + [0, 1] * m
-        grown[q:, q:] = [[0, 0], [1, 0]]
-        arr = grown
+        arr[q + 1, :q] = [1, 1, 0] + [1, 0] * m
+        arr[:q, q] = [0, 1, 1] + [0, 1] * m
+        arr[q + 1, q] = 1
     return Pattern.from_array(arr)
 
 
@@ -168,21 +165,26 @@ class OracleResult:
     representatives: tuple[Pattern, ...]
 
 
-def _canonical_bytes(arr: np.ndarray) -> bytes:
-    """Minimal byte string over all shifts x rotations/reflections."""
+def _orbit(arr: np.ndarray) -> np.ndarray:
+    """(8 n^2, n^2) flat images of arr: all shifts x rotations/reflections."""
     n = arr.shape[0]
     # every n x n window of an image tiled 2 x 2 is one of its cyclic shifts
     tiled = np.tile(np.stack(symmetry_images(arr)), (1, 2, 2))
     shifts = sliding_window_view(tiled, (n, n), axis=(1, 2))[:, :n, :n]
-    return min(map(bytes, shifts.reshape(-1, n * n)))
+    return shifts.reshape(-1, n * n)
+
+
+def _canonical_bytes(arr: np.ndarray) -> bytes:
+    """Minimal byte string over all shifts x rotations/reflections."""
+    return min(map(bytes, _orbit(arr)))
 
 
 def brute_force_oracle(n: int,
                        params: PayoffParams = DEFAULT_PARAMS) -> OracleResult:
     """Exhaustively score all 2^(n^2) patterns, 3 <= n <= ORACLE_MAX_N.
 
-    Pattern codes are bitboards (grid.pack), scored on int64 arrays in the
-    pair-sum form of payoff.tps_of_bits.
+    Codes are bitboards (grid.pack), scored in int32 chunks in the pair-sum
+    form of payoff.tps_of_bits; each orbit of optima is canonicalized once.
     """
     if n < 3 or n > ORACLE_MAX_N:
         raise ValueError(
@@ -191,9 +193,9 @@ def brute_force_oracle(n: int,
     c0, c1, c2 = params.pair_sum
     best = -np.inf
     best_codes: list[int] = []
-    chunk = 1 << 18  # codes per pass; keeps temporaries at a few MB
+    chunk = 1 << 15  # 128 KB int32 temporaries; n <= 5 keeps shifts < 2^30
     for lo in range(0, 1 << nn, chunk):
-        codes = np.arange(lo, min(lo + chunk, 1 << nn), dtype=np.int64)
+        codes = np.arange(lo, min(lo + chunk, 1 << nn), dtype=np.int32)
         tps_all = (c0 * nn + c1 * np.bitwise_count(codes)
                    + c2 * pair_count(codes, n, np.bitwise_count))
         m = tps_all.max()
@@ -202,11 +204,13 @@ def brute_force_oracle(n: int,
             best_codes = []
         if m == best:
             best_codes.extend(codes[tps_all == best].tolist())
-    reps = {}
+    reps, seen = [], set()
     for code in best_codes:
-        key = _canonical_bytes(Pattern.from_board(n, code).to_array())
-        reps.setdefault(key, Pattern(n, key))
-    return OracleResult(float(best), len(best_codes), tuple(reps.values()))
+        if code not in seen:
+            images = _orbit(Pattern.from_board(n, code).to_array())
+            seen.update(pack_rows(images))
+            reps.append(Pattern(n, min(map(bytes, images))))
+    return OracleResult(float(best), len(best_codes), tuple(reps))
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,8 @@ class PayoffParams:
     self_play: bool = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t, self.r, self.p, self.s))):
+            raise ValueError(f"payoffs must be finite, got {self}")
         # pair_sum is a plain attribute, not a field (so not in eq or hash):
         # a cached property would slow every later attribute read here
         own = 1.0 if self.self_play else 0.0
@@ -157,7 +160,8 @@ def pair_count(x, n: int, popcount=int.bit_count):
     """Number E of 8-neighbor pairs of set bits on the n x n torus.
 
     x is a bitboard (bit k = flat cell k, row-major) with a matching
-    popcount, or an int64 array of them with np.bitwise_count (n <= 7).
+    popcount, or an int32 (n <= 5) or int64 (n <= 7) array of them with
+    np.bitwise_count.
     Each pair is counted once, from its upper or left cell, through the
     toroidal shifts right, down, down-right and down-left; this needs n >= 3.
     """

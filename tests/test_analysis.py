@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wealthca.analysis import (ORACLE_MAX_N, _canonical_bytes,
-                               brute_force_oracle,
+from wealthca.analysis import (_BASE5, ORACLE_MAX_N, _canonical_bytes,
+                               _orbit, brute_force_oracle,
                                construct_optimal_odd, count_dominoes,
                                count_points, derive_seed, detect_singularities,
                                n_domino_formula, n_point_formula,
@@ -15,10 +15,10 @@ from wealthca.analysis import (ORACLE_MAX_N, _canonical_bytes,
                                wealth_formula_odd)
 from wealthca.ca import CaConfig, run_ca
 from wealthca.ga import GaConfig, run_ga
-from wealthca.grid import (Coord, Pattern, PatternError, parse,
+from wealthca.grid import (Coord, Pattern, PatternError, pack_rows, parse,
                           symmetry_images, transform, window_codes)
 from wealthca.payoff import (DEFAULT_PARAMS, PayoffParams, cell_total_payoff,
-                             tps, wealth)
+                             pair_count, tps, wealth)
 from wealthca.templates import (Template, TemplateSet, builtin_set,
                                 extract_templates)
 
@@ -99,6 +99,38 @@ def ref_canonical_bytes(arr):
     return best
 
 
+def ref_construct_optimal_odd(n):
+    """Border growth that copies the grid into a fresh (q+2)^2 array."""
+    arr = np.array([[int(c) for c in row] for row in _BASE5], dtype=np.uint8)
+    while arr.shape[0] < n:
+        q = arr.shape[0]
+        m = (q - 3) // 2
+        grown = np.zeros((q + 2, q + 2), dtype=np.uint8)
+        grown[:q, :q] = arr
+        grown[q + 1, :q] = [1, 1, 0] + [1, 0] * m
+        grown[:q, q] = [0, 1, 1] + [0, 1] * m
+        grown[q:, q:] = [[0, 0], [1, 0]]
+        arr = grown
+    return Pattern.from_array(arr)
+
+
+def ref_oracle(n, params):
+    """All codes scored in one int64 pass; every optimum canonicalized, in
+    ascending code order, the first of each class kept."""
+    nn = n * n
+    c0, c1, c2 = params.pair_sum
+    codes = np.arange(1 << nn, dtype=np.int64)
+    tps_all = (c0 * nn + c1 * np.bitwise_count(codes)
+               + c2 * pair_count(codes, n, np.bitwise_count))
+    best = tps_all.max()
+    best_codes = codes[tps_all == best].tolist()
+    reps = {}
+    for code in best_codes:
+        key = _canonical_bytes(Pattern.from_board(n, code).to_array())
+        reps.setdefault(key, Pattern(n, key))
+    return float(best), len(best_codes), tuple(reps.values())
+
+
 def assert_stencils_match_references(p):
     assert count_points(p) == ref_count_points(p)
     assert count_dominoes(p) == ref_count_dominoes(p)
@@ -173,6 +205,12 @@ class TestOddFormulas:
         assert wealth_formula_odd(9) == pytest.approx(1.18656, abs=1e-5)
 
 
+@pytest.fixture(scope="module")
+def oracle5():
+    """The 2^25 scan, run once for this module."""
+    return brute_force_oracle(5)
+
+
 class TestConstruction:
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
     def test_construction_attains_the_formulas(self, n):
@@ -184,11 +222,24 @@ class TestConstruction:
         assert rep.singularities == 1
         assert rep.ones == 2 * rep.dominoes + rep.points
 
-    def test_five_matches_exhaustive_search(self):
-        oracle = brute_force_oracle(5)
-        assert oracle.max_tps == 265.0
-        assert oracle.n_optima == 50
-        assert tps(construct_optimal_odd(5)) == oracle.max_tps
+    def test_matches_the_copying_growth_loop(self):
+        for n in range(5, 42, 2):
+            assert (construct_optimal_odd(n).cells
+                    == ref_construct_optimal_odd(n).cells)
+
+    def test_five_matches_exhaustive_search(self, oracle5):
+        assert oracle5.max_tps == 265.0
+        assert oracle5.n_optima == 50
+        assert tps(construct_optimal_odd(5)) == oracle5.max_tps
+
+    def test_every_five_optimum_has_one_singularity(self, oracle5):
+        # one class, the construction's; its orbit holds all 50 optima, and
+        # shifts and symmetries keep the singularity count
+        (rep,) = oracle5.representatives
+        assert (_canonical_bytes(construct_optimal_odd(5).to_array())
+                == bytes(rep.cells))
+        assert structure_report(rep).singularities == 1
+        assert len(set(pack_rows(_orbit(rep.to_array())))) == oracle5.n_optima
 
     def test_construction_windows_stay_in_the_full_rule(self):
         from wealthca.templates import extract_templates
@@ -309,6 +360,23 @@ class TestOracle:
         res = brute_force_oracle(3, params)
         assert res.max_tps == max(scores)
         assert res.n_optima == scores.count(max(scores))
+
+    @pytest.mark.parametrize("params", [
+        DEFAULT_PARAMS, PayoffParams(t=5.0, r=3.0, p=1.0, s=0.0),
+        PayoffParams(t=5.0, r=3.0, p=1.0, s=-2.0, self_play=False),
+        PayoffParams(self_play=False)])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_orbit_skip_matches_per_optimum_canonical_forms(self, n, params):
+        res = brute_force_oracle(n, params)
+        assert (res.max_tps, res.n_optima, res.representatives) == ref_oracle(
+            n, params)
+
+    def test_many_classes_without_self_play(self):
+        params = PayoffParams(self_play=False)
+        for n, optima, classes in ((3, 120, 6), (4, 192, 10)):
+            res = brute_force_oracle(n, params)
+            assert (res.n_optima, len(res.representatives)) == (optima,
+                                                                classes)
 
     def test_canonical_form_matches_the_shift_loop(self):
         rng = np.random.default_rng(0)

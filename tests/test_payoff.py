@@ -125,6 +125,15 @@ class TestKernel:
         assert PayoffParams() == DEFAULT_PARAMS
         assert hash(PayoffParams()) == hash(DEFAULT_PARAMS)
 
+    @pytest.mark.parametrize("name", ["t", "r", "p", "s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_payoffs_rejected(self, name, value):
+        # NaN made the oracle report max_tps -inf with no optima
+        with pytest.raises(ValueError, match="finite"):
+            PayoffParams(**{name: value})
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(DEFAULT_PARAMS, **{name: value})
+
     @given(patterns(12), payoff_params)
     def test_matches_scalar_reference(self, p, params):
         ref = sum(cell_total_payoff(p, Coord(i, j), params)
