@@ -174,11 +174,6 @@ def _orbit(arr: np.ndarray) -> np.ndarray:
     return shifts.reshape(-1, n * n)
 
 
-def _canonical_bytes(arr: np.ndarray) -> bytes:
-    """Minimal byte string over all shifts x rotations/reflections."""
-    return min(map(bytes, _orbit(arr)))
-
-
 def brute_force_oracle(n: int,
                        params: PayoffParams = DEFAULT_PARAMS) -> OracleResult:
     """Exhaustively score all 2^(n^2) patterns, 3 <= n <= ORACLE_MAX_N.
@@ -273,10 +268,11 @@ def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     run = functools.partial(_one_run, cfg, n, start, params)
     seeds = [derive_seed(cfg.seed, i) for i in range(n_runs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, n_runs)  # a pool launches all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                run, seeds, chunksize=max(1, n_runs // (4 * jobs))))
+                run, seeds, chunksize=max(1, n_runs // (4 * workers))))
     else:
         results = list(map(run, seeds))
 

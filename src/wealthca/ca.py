@@ -139,15 +139,15 @@ def _rate_table(ts: TemplateSet, pi_01: float, pi_10: float):
 class _Buckets:
     """Cells grouped by nonzero change probability under one rate table.
 
-    codes[c] is cell c's window code, windows[c] its window's flat indices,
-    slot[c] its bucket (-1: rate 0) and pos[c] its index in
-    members[slot[c]]; members lists are kept by swap-remove, so their order
+    codes[c] is cell c's window code, windows[c] its window's flat indices
+    and pos[c] its index in members[bucket[codes[c]]] when that bucket is
+    not -1 (rate 0); members lists are kept by swap-remove, so their order
     is arbitrary. ones and pairs are the pattern's defectors and 8-neighbor
     defector pairs (E of payoff.pair_count), so TPS reads off them in O(1).
     """
 
-    __slots__ = ("table", "windows", "codes", "slot", "pos", "members",
-                 "ones", "pairs")
+    __slots__ = ("table", "windows", "codes", "pos", "members", "ones",
+                 "pairs")
 
     def __init__(self, cells, n: int, table):
         rates, bucket = table
@@ -164,8 +164,7 @@ class _Buckets:
             m = np.flatnonzero(slot == b)  # ascending cell order
             pos[m] = np.arange(len(m))
             self.members.append(m.tolist())
-        self.codes, self.slot, self.pos = (codes.tolist(), slot.tolist(),
-                                           pos.tolist())
+        self.codes, self.pos = codes.tolist(), pos.tolist()
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +215,7 @@ def _flip(state: CaState, bk: _Buckets, cell: int) -> None:
     one and by its defector neighbors, and the 9 cells whose window holds
     it move between buckets."""
     cells = state.cells
-    codes, slot, pos, members = bk.codes, bk.slot, bk.pos, bk.members
+    codes, pos, members = bk.codes, bk.pos, bk.members
     bucket = bk.table[1]
     d = 1 - 2 * cells[cell]  # +1 for a new defector, -1 for a lost one
     cells[cell] += d
@@ -227,7 +226,7 @@ def _flip(state: CaState, bk: _Buckets, cell: int) -> None:
     for j, bit in zip(bk.windows[cell], _FLIP_BITS):
         code = codes[j] ^ bit
         codes[j] = code
-        new, old = bucket[code], slot[j]
+        new, old = bucket[code], bucket[code ^ bit]
         if new != old:
             if old >= 0:
                 m = members[old]
@@ -239,7 +238,6 @@ def _flip(state: CaState, bk: _Buckets, cell: int) -> None:
                 m = members[new]
                 pos[j] = len(m)
                 m.append(j)
-            slot[j] = new
 
 
 def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:

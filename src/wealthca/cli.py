@@ -28,6 +28,7 @@ from .templates import (RULE_SIZES, TemplateSet, builtin_set,
                         extract_templates, serialize_templates)
 
 _RULES = [str(size) for size in RULE_SIZES]  # the built-in rule choices
+_MAX_WEALTH_ROWS = 1_000_001  # expected-wealth rows at a step of 1e-6
 
 
 def _read_pattern(path: str) -> Pattern:
@@ -252,7 +253,11 @@ def expected_wealth_cmd(ctx, step):
     """Mean-field wealth curve over the cooperation rate, as CSV."""
     if not 0.0 < step <= 1.0:
         raise ValueError(f"step must be in (0, 1], got {step}")
-    rates = (min(k * step, 1.0) for k in range(int((1 + 1e-12) / step) + 1))
+    last = (1 + 1e-12) / step  # last row's index before flooring; may be inf
+    if last >= _MAX_WEALTH_ROWS:
+        raise ValueError(f"step {step} gives more than {_MAX_WEALTH_ROWS} "
+                         f"rows; use a step of at least 1e-6")
+    rates = (min(k * step, 1.0) for k in range(int(last) + 1))
     text = "pi_C,W\n" + "".join(
         f"{pi_c:.6g},{expected_wealth(pi_c):.6g}\n" for pi_c in rates)
     _write(ctx, "expected_wealth.csv", text)

@@ -54,8 +54,7 @@ class Population:
         self.n = n
         self.params = params
         self.boards = list(boards)
-        self.fitness = np.array(
-            [tps_of_bits(b, n, params) for b in self.boards])
+        self.fitness = [tps_of_bits(b, n, params) for b in self.boards]
         self._counts = Counter(self.boards)
 
     def __len__(self) -> int:
@@ -75,10 +74,10 @@ class Population:
 
     @property
     def best_fitness(self) -> float:
-        return float(self.fitness.max())
+        return max(self.fitness)
 
     def solutions(self) -> list[Solution]:
-        return [Solution(Pattern.from_board(self.n, b), float(f))
+        return [Solution(Pattern.from_board(self.n, b), f)
                 for b, f in zip(self.boards, self.fitness)]
 
 

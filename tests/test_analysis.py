@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wealthca.analysis import (_BASE5, ORACLE_MAX_N, _canonical_bytes,
-                               _orbit, brute_force_oracle,
+from wealthca import analysis
+from wealthca.analysis import (_BASE5, ORACLE_MAX_N, _orbit,
+                               brute_force_oracle,
                                construct_optimal_odd, count_dominoes,
                                count_points, derive_seed, detect_singularities,
                                n_domino_formula, n_point_formula,
@@ -126,7 +127,7 @@ def ref_oracle(n, params):
     best_codes = codes[tps_all == best].tolist()
     reps = {}
     for code in best_codes:
-        key = _canonical_bytes(Pattern.from_board(n, code).to_array())
+        key = min(map(bytes, _orbit(Pattern.from_board(n, code).to_array())))
         reps.setdefault(key, Pattern(n, key))
     return float(best), len(best_codes), tuple(reps.values())
 
@@ -236,7 +237,7 @@ class TestConstruction:
         # one class, the construction's; its orbit holds all 50 optima, and
         # shifts and symmetries keep the singularity count
         (rep,) = oracle5.representatives
-        assert (_canonical_bytes(construct_optimal_odd(5).to_array())
+        assert (min(map(bytes, _orbit(construct_optimal_odd(5).to_array())))
                 == bytes(rep.cells))
         assert structure_report(rep).singularities == 1
         assert len(set(pack_rows(_orbit(rep.to_array())))) == oracle5.n_optima
@@ -383,7 +384,8 @@ class TestOracle:
         for n in (3, 4, 5):
             for _ in range(50):
                 arr = (rng.random((n, n)) < rng.random()).astype(np.uint8)
-                assert _canonical_bytes(arr) == ref_canonical_bytes(arr)
+                assert (min(map(bytes, _orbit(arr)))
+                        == ref_canonical_bytes(arr))
 
     def test_size_limits(self):
         assert ORACLE_MAX_N == 5
@@ -492,3 +494,27 @@ class TestExperiments:
             assert a == b
         # the stable lattice start is kept from t = 0
         assert a.runs == ((wealth(start), 0, True),) * 8
+
+    def test_pool_has_no_more_workers_than_runs(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:  # records the pool size, runs in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        cfg = CaConfig(builtin_set(8), t_limit=10, seed=3)
+        serial = run_experiment(cfg, 6, 2, jobs=1)
+        assert run_experiment(cfg, 6, 2, jobs=4) == serial
+        assert sizes == [2]
+        run_experiment(cfg, 6, 1, jobs=4)  # one run needs no pool
+        assert sizes == [2]

@@ -409,14 +409,14 @@ def assert_buckets_rebuilt(state, table):
     fresh = _Buckets(state.cells, state.n, table)
     assert bk.codes == fresh.codes == window_codes(state.cells,
                                                    state.n).tolist()
-    assert bk.slot == fresh.slot
     assert [sorted(m) for m in bk.members] == fresh.members
     board = pack(state.cells)
     assert bk.ones == fresh.ones == board.bit_count()
     assert bk.pairs == fresh.pairs == pair_count(board, state.n)
-    for cell, b in enumerate(bk.slot):
-        if b >= 0:
-            assert bk.members[b][bk.pos[cell]] == cell
+    bucket = table[1]
+    for cell, code in enumerate(bk.codes):
+        if bucket[code] >= 0:
+            assert bk.members[bucket[code]][bk.pos[cell]] == cell
 
 
 class TestJumpGeneration:

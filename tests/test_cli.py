@@ -114,6 +114,9 @@ class TestBadInput:
         ("pipeline", "--n", "3", "--iters", "-1"),
         ("pipeline", "--n", "3", "--target", "nan"),
         ("oracle", "--n", "6"),
+        ("expected-wealth", "--step", "0"),
+        ("expected-wealth", "--step", "5e-324"),
+        ("expected-wealth", "--step", "1e-7"),
         ("--jobs", "0", "bench", "--rule", "8", "--n", "4", "--runs", "2",
          "--tlimit", "5"),
         ("--jobs", "-4", "bench", "--rule", "8", "--n", "4", "--runs", "2",
@@ -138,6 +141,17 @@ class TestBadInput:
         res = invoke(runner, out, stage, "--in", str(pat), flag,
                      str(out / name), *rest, expect_exit=1)
         assert json.loads(res.stderr)["error"]["stage"] == stage
+        assert list(out.iterdir()) == []
+
+    def test_malformed_pattern_file(self, runner, tmp_path):
+        pat = tmp_path / "p.txt"
+        pat.write_text("010\n01\n010\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        res = invoke(runner, out, "analyze", "--in", str(pat), expect_exit=1)
+        error = json.loads(res.stderr)["error"]
+        assert error["stage"] == "analyze"
+        assert error["message"].startswith(f"bad pattern file {pat}: ")
         assert list(out.iterdir()) == []
 
     def test_size_disagreeing_with_the_start_pattern(self, runner, tmp_path):
@@ -282,6 +296,15 @@ class TestPipeline:
         assert doc["ca"]["changes"] >= 0
         assert doc["ca"]["tps_final"] == 387.0
         assert doc["analysis"]["points"] == 9
+
+    def test_builtin_rule(self, runner, tmp_path):
+        res = invoke(runner, tmp_path, "pipeline", "--n", "5", "--iters",
+                     "20", "--tlimit", "3", "--rule-from", "52")
+        doc = json.loads(res.output)
+        ts = parse_templates((tmp_path / "pipeline_templates.txt").read_text())
+        assert ts == builtin_set(52)
+        assert doc["templates"]["count"] == len(builtin_set(52))
+        assert manifest(tmp_path, "pipeline")["params"]["rule_from"] == "52"
 
 
 P7 = "0000000\n0100100\n0000000\n0100101\n0000000\n0101000\n0000000\n"
