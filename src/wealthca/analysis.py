@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -268,7 +269,8 @@ def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     run = functools.partial(_one_run, cfg, n, start, params)
     seeds = [derive_seed(cfg.seed, i) for i in range(n_runs)]
-    workers = min(jobs, n_runs)  # a pool launches all its workers at once
+    # a pool launches all its workers at once; more than the CPUs only queue
+    workers = min(jobs, n_runs, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(

@@ -49,6 +49,8 @@ class CaConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.t_limit < 0:
             raise ValueError("t_limit must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.target_tps is not None and math.isnan(self.target_tps):
             raise ValueError("target_tps must not be NaN")
         if self.selection not in SELECTIONS:

@@ -33,6 +33,8 @@ class GaConfig:
             raise ValueError("p1 and p2 must be in [0, 1]")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if (self.target_fitness is not None
                 and math.isnan(self.target_fitness)):
             raise ValueError("target_fitness must not be NaN")

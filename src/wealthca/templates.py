@@ -8,68 +8,33 @@ from itertools import count
 
 import numpy as np
 
-from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Coord, Pattern, PatternError,
-                   symmetry_images)
+from .grid import (MOORE_OFFSETS, SYMMETRY_OPS, WINDOW_WEIGHTS, Coord, Pattern,
+                   PatternError, symmetry_images)
 
-# The 52 canonical templates. T0-T7 suffice for even grid sizes (pure point
-# patterns); T8-T35 add domino-induced neighborhoods; T36-T51 come from the
-# 2x2 zero-block singularities of odd-size optima. The second label names the
-# symmetry family (Template.family).
-_BUILTIN = [
-    ("T0", "A", "000 010 000"),
-    ("T1", "B0", "000 101 000"),
-    ("T2", "B1", "010 000 010"),
-    ("T3", "C", "101 000 101"),
-    ("T4", "D0", "101 000 010"),
-    ("T5", "D1", "010 000 101"),
-    ("T6", "D2", "001 100 001"),
-    ("T7", "D3", "100 001 100"),
-    ("T8", "E0", "000 110 000"),
-    ("T9", "E1", "000 011 000"),
-    ("T10", "E2", "010 010 000"),
-    ("T11", "E3", "000 010 010"),
-    ("T12", "F0", "110 000 110"),
-    ("T13", "F1", "011 000 011"),
-    ("T14", "F2", "101 101 000"),
-    ("T15", "F3", "000 101 101"),
-    ("T16", "G0", "110 000 010"),
-    ("T17", "G1", "010 000 110"),
-    ("T18", "G2", "011 000 010"),
-    ("T19", "G3", "010 000 011"),
-    ("T20", "G4", "001 101 000"),
-    ("T21", "G5", "000 101 001"),
-    ("T22", "G6", "100 101 000"),
-    ("T23", "G7", "000 101 100"),
-    ("T24", "H0", "110 000 101"),
-    ("T25", "H1", "101 000 110"),
-    ("T26", "H2", "011 000 101"),
-    ("T27", "H3", "101 000 011"),
-    ("T28", "H4", "101 001 100"),
-    ("T29", "H5", "100 001 101"),
-    ("T30", "H6", "101 100 001"),
-    ("T31", "H7", "001 100 101"),
-    ("T32", "I0", "110 000 011"),
-    ("T33", "I1", "011 000 110"),
-    ("T34", "I2", "001 101 100"),
-    ("T35", "I3", "100 101 001"),
-    ("T36", "J0", "110 000 100"),
-    ("T37", "J1", "100 000 110"),
-    ("T38", "J2", "011 000 001"),
-    ("T39", "J3", "001 000 011"),
-    ("T40", "J4", "101 001 000"),
-    ("T41", "J5", "000 001 101"),
-    ("T42", "J6", "101 100 000"),
-    ("T43", "J7", "000 100 101"),
-    ("T44", "K0", "010 000 001"),
-    ("T45", "K1", "001 000 010"),
-    ("T46", "K2", "010 000 100"),
-    ("T47", "K3", "100 000 010"),
-    ("T48", "K4", "000 001 100"),
-    ("T49", "K5", "100 001 000"),
-    ("T50", "K6", "000 100 001"),
-    ("T51", "K7", "001 100 000"),
-]
-_FAMILY = {label: family for label, family, _ in _BUILTIN}
+# The 52 canonical templates, as 11 symmetry families by their first
+# template. A-D (T0-T7) suffice for even grid sizes (pure point patterns);
+# E-I (T8-T35) add domino-induced neighborhoods; J-K (T36-T51) come from the
+# 2x2 zero-block singularities of odd-size optima.
+_FAMILIES = (
+    ("A", "000 010 000"),
+    ("B", "000 101 000"),
+    ("C", "101 000 101"),
+    ("D", "101 000 010"),
+    ("E", "000 110 000"),
+    ("F", "110 000 110"),
+    ("G", "110 000 010"),
+    ("H", "110 000 101"),
+    ("I", "110 000 011"),
+    ("J", "110 000 100"),
+    ("K", "010 000 001"),
+)
+# A family is the distinct images of its first template in this order: the
+# template, then its rotate90 image, each under identity, reflect_h,
+# reflect_v and rotate180. T0..T51 number the members; Template.family is
+# the letter plus the member's index, or the bare letter for families of one.
+_IMAGE_ORDER = tuple(map(SYMMETRY_OPS.index, (
+    "identity", "reflect_h", "reflect_v", "rotate180",
+    "rotate90", "antitranspose", "transpose", "rotate270")))
 
 RULE_SIZES = (8, 36, 52)
 
@@ -119,8 +84,7 @@ class Template:
     @property
     def family(self) -> str:
         """The symmetry family of a built-in template's code, else ''."""
-        t = _builtin().get(self.code)
-        return _FAMILY[t.label] if t else ""
+        return _builtin().get(self.code, (None, ""))[1]
 
     def outer_code(self) -> int:
         """Outer cells packed into 8 bits, first outer cell = bit 0."""
@@ -167,10 +131,15 @@ class TemplateSet:
 
 @lru_cache(maxsize=None)
 def _builtin() -> dict:
-    """The built-in templates in label order, keyed by their codes."""
-    ts = (Template.from_rows(rows.split(), label)
-          for label, _, rows in _BUILTIN)
-    return {t.code: t for t in ts}
+    """(template, family name) of each built-in, in label order, by code."""
+    out = {}
+    for letter, rows in _FAMILIES:
+        images = _symmetry_codes()[Template.from_rows(rows.split()).code]
+        members = list(dict.fromkeys(images[i] for i in _IMAGE_ORDER))
+        for k, code in enumerate(members):
+            out[code] = (Template(code, f"T{len(out)}"),
+                         f"{letter}{k}" if len(members) > 1 else letter)
+    return out
 
 
 def builtin_set(variant: int) -> TemplateSet:
@@ -178,7 +147,7 @@ def builtin_set(variant: int) -> TemplateSet:
     if variant not in RULE_SIZES:
         raise ValueError(f"rule variant must be one of {RULE_SIZES}, "
                          f"got {variant}")
-    return TemplateSet(tuple(_builtin().values())[:variant])
+    return TemplateSet(tuple(t for t, _ in _builtin().values())[:variant])
 
 
 @lru_cache(maxsize=None)
@@ -192,23 +161,27 @@ def _symmetry_codes() -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, (cells[:, perms] @ _ROW_WEIGHTS).tolist()))
 
 
+def _labelled(codes, used=frozenset()) -> tuple[Template, ...]:
+    """Templates of new codes, in order, under the one labelling rule.
+
+    A built-in code takes its built-in label unless a label in used already
+    names it; every other code takes the next X0, X1, ... not in used.
+    """
+    fresh = (f"X{k}" for k in count() if f"X{k}" not in used)
+    known = {c: t for c, (t, _) in _builtin().items() if t.label not in used}
+    return tuple(known.get(c) or Template(c, next(fresh)) for c in codes)
+
+
 def complete_under_symmetry(ts: TemplateSet) -> TemplateSet:
     """Close a set under the eight symmetries, keeping the original order.
 
-    Images are appended in closure order. A built-in image takes its
-    built-in label unless a template of ts already carries that label;
-    every other image takes the next X0, X1, ... not yet in use.
+    New images are appended in closure order, labelled by _labelled with
+    the labels of ts in use.
     """
-    out = {t.code: t for t in ts}
-    used = set(ts.labels())
-    fresh = (f"X{k}" for k in count() if f"X{k}" not in used)
-    for t in ts:
-        for code in _symmetry_codes()[t.code]:
-            if code not in out:
-                known = _builtin().get(code)
-                out[code] = (known if known and known.label not in used
-                             else Template(code, next(fresh)))
-    return TemplateSet(tuple(out.values()))
+    old = {t.code for t in ts}
+    new = dict.fromkeys(c for t in ts for c in _symmetry_codes()[t.code]
+                        if c not in old)
+    return TemplateSet(ts.templates + _labelled(new, set(ts.labels())))
 
 
 def symmetry_orbit(t: Template) -> TemplateSet:
@@ -226,23 +199,15 @@ def extract_templates(p: Pattern, complete: bool = True) -> TemplateSet:
     labelled X0, X1, ... in that order.
     """
     codes, first = np.unique(p.codes, return_index=True)
-    fresh = (f"X{k}" for k in count())
-    ts = TemplateSet(tuple(_builtin().get(code) or Template(code, next(fresh))
-                           for code in codes[np.argsort(first)].tolist()))
+    ts = TemplateSet(_labelled(codes[np.argsort(first)].tolist()))
     return complete_under_symmetry(ts) if complete else ts
 
 
 def match_except_center(p: Pattern, c: Coord, t: Template) -> bool:
     """True iff the eight outer window cells at c equal t's outer cells."""
-    n = p.n
     v = t.values
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if (di, dj) == (0, 0):
-                continue
-            if p.cells[((c.i + di) % n) * n + (c.j + dj) % n] != v[di + 1][dj + 1]:
-                return False
-    return True
+    return all(p.at(c.i + di, c.j + dj) == v[di + 1][dj + 1]
+               for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj)
 
 
 def match_full(p: Pattern, c: Coord, t: Template) -> bool:
@@ -253,10 +218,8 @@ def match_full(p: Pattern, c: Coord, t: Template) -> bool:
 def serialize_templates(ts: TemplateSet) -> str:
     blocks = []
     for t in ts:
-        lines = []
-        if t.label:
-            lines.append(f"# {t.label}")
-        lines.extend("".join(str(v) for v in row) for row in t.values)
+        lines = [f"# {t.label}"] if t.label else []
+        lines += ("".join(map(str, row)) for row in t.values)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

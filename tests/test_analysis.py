@@ -495,7 +495,9 @@ class TestExperiments:
         # the stable lattice start is kept from t = 0
         assert a.runs == ((wealth(start), 0, True),) * 8
 
-    def test_pool_has_no_more_workers_than_runs(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The sizes of the pools run_experiment opens; they run inline."""
         sizes = []
 
         class InlinePool:  # records the pool size, runs in this process
@@ -512,9 +514,24 @@ class TestExperiments:
                 return map(fn, items)
 
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    def test_pool_has_no_more_workers_than_runs(self, pool_sizes,
+                                                monkeypatch):
+        # pinned, so that the CPU cap does not decide the size on a small host
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 8)
         cfg = CaConfig(builtin_set(8), t_limit=10, seed=3)
         serial = run_experiment(cfg, 6, 2, jobs=1)
         assert run_experiment(cfg, 6, 2, jobs=4) == serial
-        assert sizes == [2]
+        assert pool_sizes == [2]
         run_experiment(cfg, 6, 1, jobs=4)  # one run needs no pool
-        assert sizes == [2]
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("cpus, size", [(2, [2]), (1, []), (None, [])])
+    def test_pool_has_no_more_workers_than_cpus(self, pool_sizes, monkeypatch,
+                                                cpus, size):
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+        cfg = CaConfig(builtin_set(8), t_limit=10, seed=3)
+        serial = run_experiment(cfg, 6, 8, jobs=1)
+        assert run_experiment(cfg, 6, 8, jobs=64) == serial
+        assert pool_sizes == size

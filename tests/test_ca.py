@@ -55,6 +55,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             CaConfig(RULE8, target_tps=float("nan"))
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-7) would seed like Random(7) under another name
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            CaConfig(RULE8, seed=-7)
+
 
 class TestInit:
     def test_zero_density_gives_zero_pattern(self):

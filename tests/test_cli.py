@@ -121,6 +121,10 @@ class TestBadInput:
          "--tlimit", "5"),
         ("--jobs", "-4", "bench", "--rule", "8", "--n", "4", "--runs", "2",
          "--tlimit", "5"),
+        ("--seed", "-1", "ga", "--n", "4", "--iters", "5"),
+        ("--seed", "-1", "evolve", "--rule", "8", "--n", "4", "--tlimit", "2"),
+        ("--seed", "-1", "bench", "--rule", "8", "--n", "4", "--runs", "2",
+         "--tlimit", "5"),
     ], ids=lambda args: " ".join(args))
     def test_rejected_before_any_work(self, runner, tmp_path, args):
         res = invoke(runner, tmp_path, *args, expect_exit=1)

@@ -27,6 +27,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             GaConfig(target_fitness=float("nan"))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            GaConfig(seed=-1)
+
 
 class TestOffspring:
     # statistics of the operator ga_step runs, on masks drawn as it draws them

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -46,6 +47,17 @@ class TestBuiltinSets:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             builtin_set(16)
+
+    def test_whole_table_is_pinned(self):
+        # SHA-256 of every row (label and cells) and of every family name,
+        # as the 52 templates were first written out row by row
+        def sha(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+        full = builtin_set(52)
+        assert sha(serialize_templates(full)) == (
+            "f405102d683733b540d3110099698453e34e6e0e4808f8c80bcc51dc6c185e3d")
+        assert sha(" ".join(t.family for t in full)) == (
+            "833ac2382fcdf692cb3d4ee4b28a1e1769880dac02cc511a4fc2fa8819057a87")
 
 
 class TestTemplate:
