@@ -18,45 +18,52 @@ from . import __version__
 from .analysis import (brute_force_oracle, construct_optimal_odd,
                        detect_singularities, optimal_tps, point_filled,
                        run_experiment, structure_report)
-from .ca import SELECTIONS, CaConfig, CaRunResult, run_ca
+from .ca import SELECTIONS, CaConfig, run_ca
 from .ga import GaConfig, run_ga
-from .grid import Pattern, PatternError, parse, serialize
+from .grid import PatternError, parse, serialize
 from .payoff import (characteristic, expected_wealth, total_payoff_grid,
                      wealth)
-from .render import write_ppm
+from .render import ppm_bytes
 from .templates import (RULE_SIZES, TemplateSet, builtin_set,
-                        extract_templates, serialize_templates)
+                        extract_templates, parse_templates,
+                        serialize_templates)
 
 _RULES = [str(size) for size in RULE_SIZES]  # the built-in rule choices
+_RULE_HELP = "A built-in rule (8, 36, 52) or a template file."
 _MAX_WEALTH_ROWS = 1_000_001  # expected-wealth rows at a step of 1e-6
+_PARSERS = {"pattern": parse, "template": parse_templates}
 
 
-def _read_pattern(path: str) -> Pattern:
+def _read(path: str, kind: str = "pattern"):
+    """The pattern or template set in a file; PatternError names the file."""
     try:
-        return parse(Path(path).read_text())
+        return _PARSERS[kind](Path(path).read_text())
     except FileNotFoundError:
         raise PatternError(f"input file not found: {path}") from None
     except PatternError as exc:
-        raise PatternError(f"bad pattern file {path}: {exc}") from None
+        raise PatternError(f"bad {kind} file {path}: {exc}") from None
 
 
-def _write(ctx, name: str, text: str) -> None:
+def _rule(rule: str) -> TemplateSet:
+    """The built-in rule of that size, else the templates in that file."""
+    ts = builtin_set(int(rule)) if rule in _RULES else _read(rule, "template")
+    if not len(ts):  # a rule of pure noise
+        raise PatternError(f"bad template file {rule}: no template")
+    return ts
+
+
+def _write(ctx, name: str, data: str | bytes) -> None:
     """Write one file into the out-dir, creating the out-dir on first use."""
     out = Path(ctx.obj["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
+    (out / name).write_bytes(data if isinstance(data, bytes)
+                             else data.encode())
 
 
 def _report(ctx, name: str, doc: dict) -> None:
     """Write doc to the out-dir as indented JSON and echo it as one line."""
     _write(ctx, name, json.dumps(doc, indent=2) + "\n")
     click.echo(json.dumps(doc))
-
-
-def _ca_summary(res: CaRunResult) -> dict:
-    return {"w_max": res.w_max, "t_max": res.t_max, "stable": res.stable,
-            "tps_final": res.tps_final, "stop_reason": res.stop_reason,
-            "changes": res.changes}
 
 
 class _Command(click.Command):
@@ -134,7 +141,7 @@ def ga(ctx, n, pop, p1, p2, iters, target, top):
 
 
 @main.command()
-@click.option("--rule", type=click.Choice(_RULES), required=True)
+@click.option("--rule", required=True, help=_RULE_HELP)
 @click.option("--n", type=int, default=None)
 @click.option("--tlimit", type=int, default=CaConfig.t_limit)
 @click.option("--init", "init_path", type=click.Path(), default=None,
@@ -152,8 +159,8 @@ def evolve(ctx, rule, n, tlimit, init_path, init_density, select, pi01, pi10,
     """Evolve a pattern with the template CA rule."""
     if dump_every < 0:
         raise ValueError(f"dump-every must be >= 0, got {dump_every}")
-    start = _read_pattern(init_path) if init_path else None
-    cfg = CaConfig(templates=builtin_set(int(rule)), pi_01=pi01, pi_10=pi10,
+    start = _read(init_path) if init_path else None
+    cfg = CaConfig(templates=_rule(rule), pi_01=pi01, pi_10=pi10,
                    selection=select, init_density=init_density,
                    t_limit=tlimit, seed=ctx.obj["seed"])
 
@@ -167,19 +174,29 @@ def evolve(ctx, rule, n, tlimit, init_path, init_density, select, pi01, pi10,
     _write(ctx, "evolve_trace.csv", "t,tps,wealth,stable\n" + "".join(
         f"{row.t},{row.tps:g},{row.wealth:.6f},{int(row.stable)}\n"
         for row in result.trace))
-    _report(ctx, "evolve_summary.json", _ca_summary(result))
+    _report(ctx, "evolve_summary.json", {
+        "w_max": result.w_max, "t_max": result.t_max, "stable": result.stable,
+        "tps_final": result.tps_final, "stop_reason": result.stop_reason,
+        "changes": result.changes})
 
 
 @main.command()
 @click.option("--in", "in_path", type=click.Path(), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--no-complete", is_flag=True,
               help="Skip symmetry completion of the extracted set.")
-def extract(in_path, out_path, no_complete):
+@click.pass_context
+def extract(ctx, in_path, no_complete):
     """Extract 3x3 templates from a pattern."""
-    ts = extract_templates(_read_pattern(in_path), complete=not no_complete)
-    Path(out_path).write_text(serialize_templates(ts))
-    click.echo(f"{len(ts)} templates")
+    ts = extract_templates(_read(in_path), complete=not no_complete)
+    _write(ctx, "extract_templates.txt", serialize_templates(ts))
+    _report(ctx, "extract_summary.json", {
+        "count": len(ts), "labels": ts.labels(),
+        "ambiguous_rings": _ambiguous_rings(ts)})
+
+
+def _ambiguous_rings(ts: TemplateSet) -> int:
+    """Outer rings that carry both centers in ts: their cells never settle."""
+    return len(ts) - len({t.outer_code() for t in ts})
 
 
 @main.command()
@@ -187,7 +204,7 @@ def extract(in_path, out_path, no_complete):
 @click.pass_context
 def analyze(ctx, in_path):
     """Report structure counts and the characteristic of a pattern."""
-    p = _read_pattern(in_path)
+    p = _read(in_path)
     rep = structure_report(p)
     cc = characteristic(p)
     _report(ctx, "analyze.json", {
@@ -198,12 +215,11 @@ def analyze(ctx, in_path):
 
 @main.command()
 @click.option("--n", type=int, required=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
-def construct(n, out_path):
+@click.pass_context
+def construct(ctx, n):
     """Build the optimal odd-size pattern in closed form."""
     text = serialize(construct_optimal_odd(n))
-    if out_path:
-        Path(out_path).write_text(text)
+    _write(ctx, "construct.txt", text)
     click.echo(text, nl=False)
 
 
@@ -213,16 +229,13 @@ def construct(n, out_path):
 def oracle(ctx, n):
     """Exhaustively verify the optimum for a small size."""
     res = brute_force_oracle(n)
-    doc = {"max_tps": res.max_tps, "n_optima": res.n_optima,
-           "representatives": [p.rows() for p in res.representatives]}
-    _write(ctx, "oracle.json", json.dumps(doc, indent=2) + "\n")
-    click.echo(json.dumps({"max_tps": res.max_tps,
-                           "n_optima": res.n_optima,
-                           "n_classes": len(res.representatives)}))
+    _report(ctx, "oracle.json", {
+        "max_tps": res.max_tps, "n_optima": res.n_optima,
+        "representatives": [p.rows() for p in res.representatives]})
 
 
 @main.command()
-@click.option("--rule", type=click.Choice(_RULES), required=True)
+@click.option("--rule", required=True, help=_RULE_HELP)
 @click.option("--n", type=int, required=True)
 @click.option("--runs", type=int, default=100)
 @click.option("--tlimit", type=int, default=CaConfig.t_limit)
@@ -235,7 +248,7 @@ def bench(ctx, rule, n, runs, tlimit, use_points):
     n_opt_found counts the runs that reach the known optimum for n (null
     where none is known).
     """
-    cfg = CaConfig(templates=builtin_set(int(rule)), t_limit=tlimit,
+    cfg = CaConfig(templates=_rule(rule), t_limit=tlimit,
                    seed=ctx.obj["seed"])
     start = point_filled(n) if use_points else None
     summary = run_experiment(cfg, n, runs, start=start, jobs=ctx.obj["jobs"])
@@ -266,15 +279,16 @@ def expected_wealth_cmd(ctx, step):
 
 @main.command()
 @click.option("--in", "in_path", type=click.Path(), required=True)
-@click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--scale", type=int, default=1)
 @click.option("--quad", is_flag=True)
 @click.option("--mark-singularities", is_flag=True)
-def render(in_path, out_path, scale, quad, mark_singularities):
+@click.pass_context
+def render(ctx, in_path, scale, quad, mark_singularities):
     """Render a pattern to a binary PPM image."""
-    write_ppm(out_path, _read_pattern(in_path), scale=scale, quad=quad,
-              mark_singularities=mark_singularities)
-    click.echo(out_path)
+    _write(ctx, "render.ppm", ppm_bytes(
+        _read(in_path), scale=scale, quad=quad,
+        mark_singularities=mark_singularities))
+    click.echo(Path(ctx.obj["out_dir"]) / "render.ppm")
 
 
 @main.command("payoff-map")
@@ -282,7 +296,7 @@ def render(in_path, out_path, scale, quad, mark_singularities):
 @click.pass_context
 def payoff_map(ctx, in_path):
     """Per-cell total payoffs as a text grid."""
-    grid = total_payoff_grid(_read_pattern(in_path))
+    grid = total_payoff_grid(_read(in_path))
     width = max(len(f"{v:g}") for v in grid.reshape(-1))
     text = "\n".join(
         " ".join(f"{v:{width}g}" for v in row) for row in grid) + "\n"
@@ -294,40 +308,25 @@ def payoff_map(ctx, in_path):
 @click.option("--n", type=int, required=True)
 @click.option("--iters", type=int, default=GaConfig.max_iterations)
 @click.option("--tlimit", type=int, default=2000)
-@click.option("--rule-from", type=click.Choice(["extracted", *_RULES]),
-              default="extracted",
-              help="CA rule source: templates extracted from the GA best, "
-                   "or a built-in set.")
+@click.option("--rule", default=None, help=_RULE_HELP + " Default: the "
+              "templates extracted from the GA best.")
 @click.option("--target", type=float, default=None,
               help="GA early-stop fitness; defaults to the known optimum "
                    "when one is available.")
 @click.pass_context
-def pipeline(ctx, n, iters, tlimit, rule_from, target):
-    """Full chain: GA search, template extraction, CA evolution, analysis."""
-    seed = ctx.obj["seed"]
+def pipeline(ctx, n, iters, tlimit, rule, target):
+    """Full chain: ga, extract, evolve and analyze into one out-dir."""
+    seed, out = ctx.obj["seed"], Path(ctx.obj["out_dir"])
     goal = optimal_tps(n) if target is None else target
-    ga_cfg = GaConfig(max_iterations=iters, target_fitness=goal, seed=seed)
-    # the templates come from the GA's best; check the rest before any output
-    ca_cfg = CaConfig(templates=TemplateSet(()), t_limit=tlimit, seed=seed)
-    ga_res = run_ga(ga_cfg, n)
-    master = ga_res.best.pattern
-    _write(ctx, "pipeline_master.txt", serialize(master))
-
-    if rule_from == "extracted":
-        ts = extract_templates(master)
-    else:
-        ts = builtin_set(int(rule_from))
-    _write(ctx, "pipeline_templates.txt", serialize_templates(ts))
-
-    ca_res = run_ca(dataclasses.replace(ca_cfg, templates=ts), n=n)
-    _write(ctx, "pipeline_evolved.txt", serialize(ca_res.final))
-    _report(ctx, "pipeline_summary.json", {
-        "ga": {"best_tps": ga_res.best_fitness,
-               "iterations_used": ga_res.iterations},
-        "templates": {"count": len(ts), "labels": ts.labels()},
-        "ca": _ca_summary(ca_res),
-        "analysis": dataclasses.asdict(structure_report(ca_res.final)),
-    })
+    # check every setting before the first step writes
+    GaConfig(max_iterations=iters, target_fitness=goal, seed=seed)
+    CaConfig(templates=_rule(rule) if rule else TemplateSet(()),
+             t_limit=tlimit, seed=seed)
+    ctx.invoke(ga, n=n, iters=iters, target=goal, top=1)
+    ctx.invoke(extract, in_path=str(out / "ga_best_0.txt"))
+    ctx.invoke(evolve, rule=rule or str(out / "extract_templates.txt"), n=n,
+               tlimit=tlimit)
+    ctx.invoke(analyze, in_path=str(out / "evolve_final.txt"))
 
 
 if __name__ == "__main__":

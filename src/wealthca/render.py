@@ -10,6 +10,7 @@ from .grid import Pattern
 WHITE = (255, 255, 255)
 BLACK = (0, 0, 0)
 RED = (255, 0, 0)
+MAX_PIXELS = 2**26  # 192 MiB of RGB; a larger image is refused unallocated
 
 
 def ppm_bytes(p: Pattern, scale: int = 1, quad: bool = False,
@@ -17,11 +18,15 @@ def ppm_bytes(p: Pattern, scale: int = 1, quad: bool = False,
     """Render 0-cells white and 1-cells black; singularity overlay in red.
 
     quad tiles the pattern 2x2 to expose structures wrapped across the torus
-    seam; scale multiplies every cell into a scale x scale pixel block.
+    seam; scale multiplies every cell into a scale x scale pixel block. An
+    image of more than MAX_PIXELS pixels raises ValueError.
     """
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
     n = p.n
+    side = n * scale * (2 if quad else 1)
+    if side * side > MAX_PIXELS:
+        raise ValueError(f"a {side}x{side} image exceeds {MAX_PIXELS} pixels")
     img = np.array((WHITE, BLACK), dtype=np.uint8)[p.to_array()]
     if mark_singularities:
         c = np.array(detect_singularities(p), dtype=np.intp).reshape(-1, 2)

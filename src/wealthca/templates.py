@@ -225,14 +225,21 @@ def serialize_templates(ts: TemplateSet) -> str:
 
 
 def parse_templates(text: str) -> TemplateSet:
-    """Parse 3-line blocks, each with an optional '# label' line before it."""
-    out, rows, label = [], [], ""
-    for line in [*map(str.strip, text.splitlines()), ""]:
+    """Parse 3-line blocks, each with an optional '# label' line before it.
+
+    A label line that no block follows raises PatternError.
+    """
+    out, rows, label = [], [], None
+    # a label line stands for the end: it closes the last block, and it
+    # finds no label line still waiting for its block
+    for line in [*map(str.strip, text.splitlines()), "#"]:
         if rows and (not line or line.startswith("#")):
-            # a blank line, a label line or the end closes the block
-            out.append(Template.from_rows(rows, label))
-            rows, label = [], ""
+            # a blank line or a label line closes the block
+            out.append(Template.from_rows(rows, label or ""))
+            rows, label = [], None
         if line.startswith("#"):
+            if label is not None:
+                raise PatternError(f"label line {label!r} has no template")
             label = line.lstrip("#").strip()
         elif line:
             rows.append(line)

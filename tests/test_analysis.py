@@ -318,6 +318,32 @@ class TestEvenCertificate:
                     == 43 / 4).all()
 
 
+class TestGreedyCenters:
+    """Flipping a cell changes TPS by an amount set by its window alone: a
+    0-cell with k 1-neighbours gains g = c1 + c2*k by becoming 1. No single
+    flip raises the TPS of an optimum, so wherever g != 0 every template
+    extracted from one has center 1 exactly when g > 0. The built-in rules
+    obey the same law under the default payoffs."""
+
+    def test_extracted_and_builtin_centers_are_greedy(self):
+        cases = [(params, t) for params in CERTIFICATE_PARAMS for n in (3, 4)
+                 for p in brute_force_oracle(n, params).representatives
+                 for t in extract_templates(p)]
+        assert len(cases) == 321
+        cases += [(DEFAULT_PARAMS, t) for n in range(5, 22, 2)
+                  for t in extract_templates(construct_optimal_odd(n))]
+        cases += [(DEFAULT_PARAMS, t) for size in (8, 36, 52)
+                  for t in builtin_set(size)]
+        wrong = []
+        for params, t in cases:
+            _, c1, c2 = params.pair_sum
+            cells = [c for row in t.values for c in row]
+            g = c1 + c2 * (sum(cells) - cells[4])
+            if g != 0 and (cells[4] == 1) != (g > 0):
+                wrong.append((params, t))
+        assert wrong == []
+
+
 class TestOptimalTps:
     def test_small_sizes(self):
         assert optimal_tps(4) == brute_force_oracle(4).max_tps

@@ -4,10 +4,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from wealthca.cli import main
+from wealthca.cli import _ambiguous_rings, main
 from wealthca.grid import parse
 from wealthca.payoff import tps
-from wealthca.templates import builtin_set, parse_templates
+from wealthca.templates import (RULE_SIZES, builtin_set, parse_templates,
+                                serialize_templates)
 
 
 @pytest.fixture
@@ -95,6 +96,38 @@ class TestEvolve:
                      str(tmp_path / "nope.txt"), expect_exit=1)
         assert "not found" in json.loads(res.stderr)["error"]["message"]
 
+    @pytest.mark.parametrize("args", [
+        ("evolve", "--n", "6", "--tlimit", "50"),
+        ("bench", "--n", "4", "--runs", "3", "--tlimit", "5"),
+    ], ids=lambda args: args[0])
+    def test_rule_file_runs_as_its_rule(self, runner, tmp_path, args):
+        rule = tmp_path / "rule8.txt"
+        rule.write_text(serialize_templates(builtin_set(8)))
+        by_size, by_file = tmp_path / "size", tmp_path / "file"
+        invoke(runner, by_size, args[0], "--rule", "8", *args[1:])
+        invoke(runner, by_file, args[0], "--rule", str(rule), *args[1:])
+        for out in by_size.iterdir():
+            if not out.name.endswith("_manifest.json"):
+                assert out.read_bytes() == (by_file / out.name).read_bytes()
+        assert manifest(by_file, args[0])["params"]["rule"] == str(rule)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("", "no template"),
+        ("# A\n000\n010\n000\n# B\n", "'B' has no template"),
+        ("000\n01\n000\n", "3x3"),
+    ], ids=["empty", "label-at-end", "bad-block"])
+    def test_bad_rule_file(self, runner, tmp_path, text, reason):
+        rule = tmp_path / "rule.txt"
+        rule.write_text(text)
+        out = tmp_path / "out"
+        res = invoke(runner, out, "evolve", "--rule", str(rule), "--n", "4",
+                     expect_exit=1)
+        error = json.loads(res.stderr)["error"]
+        assert error["stage"] == "evolve"
+        assert error["message"].startswith(f"bad template file {rule}: ")
+        assert reason in error["message"]
+        assert not out.exists()
+
 
 class TestBadInput:
     @pytest.mark.parametrize("args", [
@@ -104,6 +137,7 @@ class TestBadInput:
         ("ga", "--n", "4", "--pop", "4", "--iters", "3", "--top", "-1"),
         ("ga", "--n", "4", "--target", "nan", "--iters", "5"),
         ("evolve", "--rule", "8", "--n", "2"),
+        ("evolve", "--rule", "9", "--n", "4"),
         ("evolve", "--rule", "8", "--n", "6", "--pi01", "1.5"),
         ("evolve", "--rule", "8", "--n", "4", "--tlimit", "2",
          "--dump-every", "-1"),
@@ -113,6 +147,7 @@ class TestBadInput:
         ("pipeline", "--n", "3", "--tlimit", "-1"),
         ("pipeline", "--n", "3", "--iters", "-1"),
         ("pipeline", "--n", "3", "--target", "nan"),
+        ("pipeline", "--n", "3", "--rule", "missing.txt"),
         ("oracle", "--n", "6"),
         ("expected-wealth", "--step", "0"),
         ("expected-wealth", "--step", "5e-324"),
@@ -132,20 +167,20 @@ class TestBadInput:
         assert json.loads(res.stderr)["error"]["stage"] == stage
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("args", [
-        ("render", "--out", "p.ppm", "--scale", "0"),
-        ("extract", "--out", "missing/t.txt"),
-    ], ids=lambda args: " ".join(args))
-    def test_rejected_with_an_input_pattern(self, runner, tmp_path, args):
+    @pytest.mark.parametrize("out_name, args", [
+        ("out", ("render", "--scale", "0")),
+        ("out", ("render", "--scale", "1000000000")),
+        ("p.txt/out", ("extract",)),  # no out-dir can be made under a file
+    ], ids=["render --scale 0", "render --scale 1000000000",
+            "extract out-dir under a file"])
+    def test_rejected_with_an_input_pattern(self, runner, tmp_path, out_name,
+                                            args):
         pat = tmp_path / "p.txt"
         pat.write_text("000\n010\n000\n")
-        out = tmp_path / "out"
-        out.mkdir()
-        stage, flag, name, *rest = args
-        res = invoke(runner, out, stage, "--in", str(pat), flag,
-                     str(out / name), *rest, expect_exit=1)
-        assert json.loads(res.stderr)["error"]["stage"] == stage
-        assert list(out.iterdir()) == []
+        res = invoke(runner, tmp_path / out_name, args[0], "--in", str(pat),
+                     *args[1:], expect_exit=1)
+        assert json.loads(res.stderr)["error"]["stage"] == args[0]
+        assert [f.name for f in tmp_path.iterdir()] == ["p.txt"]
 
     def test_malformed_pattern_file(self, runner, tmp_path):
         pat = tmp_path / "p.txt"
@@ -185,7 +220,6 @@ class TestBadInput:
 
     @pytest.mark.parametrize("args", [
         ("oracle",),
-        ("evolve", "--rule", "9", "--n", "4"),
         ("evolve", "--rule", "8", "--n", "4", "--select", "spiral"),
     ], ids=lambda args: " ".join(args))
     def test_usage_errors_keep_exit_two(self, runner, tmp_path, args):
@@ -195,12 +229,13 @@ class TestBadInput:
 
 class TestExtractAnalyzeConstruct:
     def test_construct_then_extract_then_analyze(self, runner, tmp_path):
-        pat = tmp_path / "p.txt"
-        invoke(runner, tmp_path, "construct", "--n", "7", "--out", str(pat))
-        invoke(runner, tmp_path, "extract", "--in", str(pat), "--out",
-               str(tmp_path / "ts.txt"))
-        ts = parse_templates((tmp_path / "ts.txt").read_text())
+        pat = tmp_path / "construct.txt"
+        invoke(runner, tmp_path, "construct", "--n", "7")
+        res = invoke(runner, tmp_path, "extract", "--in", str(pat))
+        ts = parse_templates((tmp_path / "extract_templates.txt").read_text())
         assert ts.values_set() <= builtin_set(52).values_set()
+        assert json.loads(res.output) == {
+            "count": len(ts), "labels": ts.labels(), "ambiguous_rings": 0}
         res = invoke(runner, tmp_path, "analyze", "--in", str(pat))
         doc = json.loads(res.output)
         assert doc["characteristic"]["tps"] == 522.0
@@ -208,28 +243,41 @@ class TestExtractAnalyzeConstruct:
         assert len(doc["singularity_positions"]) == 1
 
     def test_no_complete_flag(self, runner, tmp_path):
-        pat = tmp_path / "p.txt"
-        invoke(runner, tmp_path, "construct", "--n", "7", "--out", str(pat))
-        invoke(runner, tmp_path, "extract", "--in", str(pat), "--out",
-               str(tmp_path / "raw.txt"), "--no-complete")
-        invoke(runner, tmp_path, "extract", "--in", str(pat), "--out",
-               str(tmp_path / "full.txt"))
-        raw = parse_templates((tmp_path / "raw.txt").read_text())
-        full = parse_templates((tmp_path / "full.txt").read_text())
+        invoke(runner, tmp_path, "construct", "--n", "7")
+        pat = str(tmp_path / "construct.txt")
+        raw, full = tmp_path / "raw", tmp_path / "full"
+        invoke(runner, raw, "extract", "--in", pat, "--no-complete")
+        invoke(runner, full, "extract", "--in", pat)
+        raw, full = (parse_templates((out / "extract_templates.txt")
+                                     .read_text()) for out in (raw, full))
         assert raw.values_set() <= full.values_set()
+
+    @pytest.mark.parametrize("size", RULE_SIZES)
+    def test_builtin_rules_have_no_ambiguous_ring(self, size):
+        assert _ambiguous_rings(builtin_set(size)) == 0
+
+    def test_ring_with_both_centers_is_ambiguous(self, runner, tmp_path):
+        # the 1 and the 0 at (2, 2) both have the all-zero ring
+        pat = tmp_path / "p.txt"
+        pat.write_text("10000\n" + "00000\n" * 4)
+        res = invoke(runner, tmp_path, "extract", "--in", str(pat),
+                     "--no-complete")
+        assert json.loads(res.output)["ambiguous_rings"] >= 1
 
     def test_readme_sequence_keeps_a_manifest_per_subcommand(
             self, runner, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # the default out-dir is "."
-        for args in (["construct", "--n", "9", "--out", "opt9.txt"],
-                     ["analyze", "--in", "opt9.txt"],
-                     ["render", "--in", "opt9.txt", "--out", "opt9.ppm"]):
-            res = runner.invoke(main, args)
+        monkeypatch.chdir(tmp_path)
+        for args in (["construct", "--n", "9"],
+                     ["analyze", "--in", "opt9/construct.txt"],
+                     ["render", "--in", "opt9/construct.txt", "--scale", "8",
+                      "--quad", "--mark-singularities"]):
+            res = runner.invoke(main, ["--out-dir", "opt9", *args])
             assert res.exit_code == 0, res.output
         found = {path.name: json.loads(path.read_text())["subcommand"]
-                 for path in tmp_path.glob("*manifest.json")}
+                 for path in (tmp_path / "opt9").glob("*manifest.json")}
         assert found == {f"{name}_manifest.json": name
                          for name in ("construct", "analyze", "render")}
+        assert [p.name for p in tmp_path.iterdir()] == ["opt9"]
 
     def test_construct_rejects_even(self, runner, tmp_path):
         res = invoke(runner, tmp_path, "construct", "--n", "6", expect_exit=1)
@@ -241,8 +289,7 @@ class TestOracleBench:
         res = invoke(runner, tmp_path, "oracle", "--n", "3")
         doc = json.loads(res.output)
         assert doc["max_tps"] == 91.0
-        saved = json.loads((tmp_path / "oracle.json").read_text())
-        assert len(saved["representatives"]) == doc["n_classes"]
+        assert json.loads((tmp_path / "oracle.json").read_text()) == doc
 
     def test_bench_summary_and_histogram(self, runner, tmp_path):
         res = invoke(runner, tmp_path, "bench", "--rule", "8", "--n", "6",
@@ -279,9 +326,10 @@ class TestMisc:
     def test_render(self, runner, tmp_path):
         pat = tmp_path / "p.txt"
         pat.write_text("000\n010\n000\n")
-        invoke(runner, tmp_path, "render", "--in", str(pat), "--out",
-               str(tmp_path / "p.ppm"), "--scale", "3")
-        data = (tmp_path / "p.ppm").read_bytes()
+        res = invoke(runner, tmp_path, "render", "--in", str(pat),
+                     "--scale", "3")
+        assert res.output == f"{tmp_path / 'render.ppm'}\n"
+        data = (tmp_path / "render.ppm").read_bytes()
         assert data.startswith(b"P6\n9 9\n255\n")
 
 
@@ -289,26 +337,47 @@ class TestPipeline:
     def test_even_grid_end_to_end(self, runner, tmp_path):
         res = invoke(runner, tmp_path, "pipeline", "--n", "6",
                      "--iters", "3000", "--tlimit", "500", seed=1)
-        doc = json.loads(res.output)
-        assert doc["ga"]["best_tps"] == 387.0
-        master = parse((tmp_path / "pipeline_master.txt").read_text())
+        ga, extract, evolve, analyze = map(json.loads,
+                                           res.output.splitlines())
+        assert ga["best_tps"] == 387.0
+        master = parse((tmp_path / "ga_best_0.txt").read_text())
         assert tps(master) == 387.0
-        ts = parse_templates((tmp_path / "pipeline_templates.txt").read_text())
+        ts = parse_templates((tmp_path / "extract_templates.txt").read_text())
         assert ts.values_set() <= builtin_set(8).values_set()
-        assert doc["ca"]["stable"]
-        assert doc["ca"]["stop_reason"] == "stable"
-        assert doc["ca"]["changes"] >= 0
-        assert doc["ca"]["tps_final"] == 387.0
-        assert doc["analysis"]["points"] == 9
+        assert extract["ambiguous_rings"] == 0
+        assert evolve["stable"]
+        assert evolve["stop_reason"] == "stable"
+        assert evolve["changes"] >= 0
+        assert evolve["tps_final"] == 387.0
+        assert analyze["structure"]["points"] == 9
+
+    def test_steps_by_hand_give_the_same_files(self, runner, tmp_path):
+        whole, steps = tmp_path / "whole", tmp_path / "steps"
+        invoke(runner, whole, "pipeline", "--n", "5", "--iters", "3000",
+               "--tlimit", "300", seed=2)
+        invoke(runner, steps, "ga", "--n", "5", "--iters", "3000",
+               "--target", "265", "--top", "1", seed=2)
+        invoke(runner, steps, "extract", "--in", str(steps / "ga_best_0.txt"))
+        invoke(runner, steps, "evolve", "--rule",
+               str(steps / "extract_templates.txt"), "--n", "5",
+               "--tlimit", "300", seed=2)
+        for name in ("ga_best_0.txt", "extract_templates.txt",
+                     "evolve_final.txt", "evolve_trace.csv"):
+            assert (whole / name).read_bytes() == (steps / name).read_bytes()
 
     def test_builtin_rule(self, runner, tmp_path):
         res = invoke(runner, tmp_path, "pipeline", "--n", "5", "--iters",
-                     "20", "--tlimit", "3", "--rule-from", "52")
-        doc = json.loads(res.output)
-        ts = parse_templates((tmp_path / "pipeline_templates.txt").read_text())
-        assert ts == builtin_set(52)
-        assert doc["templates"]["count"] == len(builtin_set(52))
-        assert manifest(tmp_path, "pipeline")["params"]["rule_from"] == "52"
+                     "20", "--tlimit", "3", "--rule", "52")
+        extract = json.loads(res.output.splitlines()[1])
+        ts = parse_templates((tmp_path / "extract_templates.txt").read_text())
+        assert extract["count"] == len(ts)
+        params = manifest(tmp_path, "pipeline")["params"]
+        assert params["rule"] == "52"
+        by_hand = tmp_path / "by-hand"
+        invoke(runner, by_hand, "evolve", "--rule", "52", "--n", "5",
+               "--tlimit", "3")
+        assert ((by_hand / "evolve_final.txt").read_bytes()
+                == (tmp_path / "evolve_final.txt").read_bytes())
 
 
 P7 = "0000000\n0100100\n0000000\n0100101\n0000000\n0101000\n0000000\n"
@@ -323,40 +392,52 @@ def _key_paths(doc, prefix=""):
     return paths
 
 
+_GA_KEYS = ["best_tps", "best_wealth", "iterations_used", "seed"]
+_EVOLVE_KEYS = ["changes", "stable", "stop_reason", "t_max", "tps_final",
+                "w_max"]
+_EXTRACT_KEYS = ["ambiguous_rings", "count", "labels"]
+
 # Each case: its arguments, the files it writes with the SHA-256 of each
 # deterministic one (None: name only), and for the commands that report
-# through a seeded search or CA run, the key paths of that JSON report.
-# Those runs pin no bytes, so a new random stream keeps the test passing.
+# through a seeded search or CA run, the key paths of each JSON report, in
+# the order the reports are echoed. Those runs pin no bytes, so a new random
+# stream keeps the test passing.
 ARTIFACTS = [
     (("ga", "--n", "4", "--pop", "10", "--iters", "50", "--top", "2"),
      dict.fromkeys(["ga_best_0.txt", "ga_best_1.txt", "ga_summary.json",
                     "ga_manifest.json"]),
-     ["best_tps", "best_wealth", "iterations_used", "seed"]),
+     {"ga_summary.json": _GA_KEYS}),
     (("evolve", "--rule", "52", "--n", "9", "--tlimit", "1",
       "--dump-every", "1"),
      dict.fromkeys(["evolve_final.txt", "evolve_summary.json",
                     "evolve_t00000.txt", "evolve_t00001.txt",
                     "evolve_trace.csv", "evolve_manifest.json"]),
-     ["changes", "stable", "stop_reason", "t_max", "tps_final", "w_max"]),
+     {"evolve_summary.json": _EVOLVE_KEYS}),
     (("evolve", "--rule", "36", "--n", "9", "--tlimit", "3", "--select",
       "sequential"),
      dict.fromkeys(["evolve_final.txt", "evolve_summary.json",
                     "evolve_trace.csv", "evolve_manifest.json"]),
-     ["changes", "stable", "stop_reason", "t_max", "tps_final", "w_max"]),
+     {"evolve_summary.json": _EVOLVE_KEYS}),
     (("bench", "--rule", "8", "--n", "4", "--runs", "2", "--tlimit", "5"),
      dict.fromkeys(["bench_histogram.csv", "bench_summary.json",
                     "bench_manifest.json"]),
-     ["n_opt_found", "n_runs", "n_stable", "t_avrg", "t_limit", "t_max",
-      "t_min", "w_max_avrg", "w_max_max", "wealth_histogram"]),
+     {"bench_summary.json": [
+         "n_opt_found", "n_runs", "n_stable", "t_avrg", "t_limit", "t_max",
+         "t_min", "w_max_avrg", "w_max_max", "wealth_histogram"]}),
     (("pipeline", "--n", "4", "--iters", "100", "--tlimit", "10"),
-     dict.fromkeys(["pipeline_evolved.txt", "pipeline_manifest.json",
-                    "pipeline_master.txt", "pipeline_summary.json",
-                    "pipeline_templates.txt"]),
-     ["analysis", "analysis.dominoes", "analysis.ones", "analysis.points",
-      "analysis.singularities", "analysis.zero_cells", "ca", "ca.changes",
-      "ca.stable", "ca.stop_reason", "ca.t_max", "ca.tps_final", "ca.w_max",
-      "ga", "ga.best_tps", "ga.iterations_used", "templates",
-      "templates.count", "templates.labels"]),
+     dict.fromkeys(["ga_best_0.txt", "ga_summary.json",
+                    "extract_templates.txt", "extract_summary.json",
+                    "evolve_final.txt", "evolve_trace.csv",
+                    "evolve_summary.json", "analyze.json",
+                    "pipeline_manifest.json"]),
+     {"ga_summary.json": _GA_KEYS, "extract_summary.json": _EXTRACT_KEYS,
+      "evolve_summary.json": _EVOLVE_KEYS,
+      "analyze.json": [
+          "characteristic", "characteristic.area", "characteristic.density",
+          "characteristic.n", "characteristic.ones", "characteristic.tps",
+          "characteristic.wealth", "singularity_positions", "structure",
+          "structure.dominoes", "structure.ones", "structure.points",
+          "structure.singularities", "structure.zero_cells"]}),
     (("analyze", "--in", "p7.txt"),
      {"analyze.json":
       "66d88c9aa93a9e00ab9029b7552a318529ce5000fe0ee862f70825da780e5b6a",
@@ -373,31 +454,31 @@ ARTIFACTS = [
      {"payoff_map.txt":
       "53e3b1f93abeab536f9849e6524ecbaefc988a89577de469513786b0265bec2b",
       "payoff-map_manifest.json": None}, None),
-    (("construct", "--n", "7", "--out", "opt7.txt"),
-     {"opt7.txt":
+    (("construct", "--n", "7"),
+     {"construct.txt":
       "f7031e20541b98b5e501df352827ecc5de590c88bfe5b933856b9d72217aba73",
       "construct_manifest.json": None}, None),
-    (("extract", "--in", "p7.txt", "--out", "templates.txt"),
-     {"templates.txt":
+    (("extract", "--in", "p7.txt"),
+     {"extract_templates.txt":
       "72f0fa0f2fc994913cdbc45446528618632bf15cca3fc6ca150f023457e9bec5",
-      "extract_manifest.json": None}, None),
-    (("render", "--in", "p7.txt", "--out", "p.ppm", "--scale", "2", "--quad",
+      "extract_summary.json": None, "extract_manifest.json": None},
+     {"extract_summary.json": _EXTRACT_KEYS}),
+    (("render", "--in", "p7.txt", "--scale", "2", "--quad",
       "--mark-singularities"),
-     {"p.ppm":
+     {"render.ppm":
       "1cf3502cee84f59a58589fac80a6b66c36477134094435b49c9511f70f4cba01",
       "render_manifest.json": None}, None),
 ]
 
 
-@pytest.mark.parametrize("args, files, report_keys", ARTIFACTS,
+@pytest.mark.parametrize("args, files, reports", ARTIFACTS,
                          ids=[" ".join(case[0]) for case in ARTIFACTS])
-def test_out_dir_artifacts(runner, tmp_path, args, files, report_keys):
+def test_out_dir_artifacts(runner, tmp_path, args, files, reports):
     (tmp_path / "p7.txt").write_text(P7)
     out = tmp_path / "out"
     out.mkdir()
-    # an --in file lives next to the out-dir, an --out file inside it
-    where = {"--in": tmp_path, "--out": out}
-    args = [str(where[flag] / arg) if flag in where else arg
+    # an --in file lives next to the out-dir
+    args = [str(tmp_path / arg) if flag == "--in" else arg
             for flag, arg in zip(("", *args), args)]
     res = invoke(runner, out, *args)
     assert sorted(f.name for f in out.iterdir()) == sorted(files)
@@ -405,10 +486,8 @@ def test_out_dir_artifacts(runner, tmp_path, args, files, report_keys):
         if digest is not None:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
                 == digest, name
-    if report_keys is not None:
-        (report,) = [name for name in files
-                     if name.endswith(".json")
-                     and not name.endswith("_manifest.json")]
-        doc = json.loads((out / report).read_text())
-        assert json.loads(res.output) == doc
-        assert sorted(_key_paths(doc)) == report_keys
+    if reports is not None:
+        docs = [json.loads((out / name).read_text()) for name in reports]
+        assert list(map(json.loads, res.output.splitlines())) == docs
+        assert [sorted(_key_paths(doc)) for doc in docs] \
+            == list(reports.values())

@@ -50,6 +50,13 @@ class TestPpm:
         with pytest.raises(ValueError):
             ppm_bytes(Pattern.zeros(3), scale=0)
 
+    @pytest.mark.parametrize("n, scale, quad", [(3, 10**9, False),
+                                                (4, 1025, True)])
+    def test_image_above_the_pixel_cap_refused(self, n, scale, quad):
+        # quad doubles the side: 8200 pixels, where MAX_PIXELS is 8192**2
+        with pytest.raises(ValueError, match="exceeds"):
+            ppm_bytes(Pattern.zeros(n), scale=scale, quad=quad)
+
 
 class TestWrite:
     def test_writes_file(self, tmp_path, optimal5):

@@ -284,6 +284,14 @@ class TestTemplateText:
     def test_label_line_closes_the_open_block(self, text):
         assert parse_templates(text).labels() == ["A", "B"]
 
+    @pytest.mark.parametrize("text, label", [
+        ("# A\n000\n010\n000\n# B\n", "B"),
+        ("# A\n# B\n000\n010\n000\n", "A"),
+    ], ids=["label-at-end", "label-before-label"])
+    def test_label_line_without_a_block(self, text, label):
+        with pytest.raises(PatternError, match=f"'{label}' has no template"):
+            parse_templates(text)
+
     def test_bad_block_shape(self):
         with pytest.raises(PatternError):
             parse_templates("010\n000\n")
