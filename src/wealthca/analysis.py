@@ -16,7 +16,7 @@ from .ca import CaConfig, run_ca
 from .ga import GaConfig, run_ga
 from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Pattern, check_size,
                    pack_rows, symmetry_images)
-from .payoff import DEFAULT_PARAMS, PayoffParams, pair_count
+from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_boards
 
 # Unique 5x5 optimum (up to symmetry), oriented so that border growth below
 # keeps the added dominoes consistent across the torus seam.
@@ -179,21 +179,19 @@ def brute_force_oracle(n: int,
                        params: PayoffParams = DEFAULT_PARAMS) -> OracleResult:
     """Exhaustively score all 2^(n^2) patterns, 3 <= n <= ORACLE_MAX_N.
 
-    Codes are bitboards (grid.pack), scored in int32 chunks in the pair-sum
-    form of payoff.tps_of_bits; each orbit of optima is canonicalized once.
+    Codes are bitboards (grid.pack), scored in int32 chunks by
+    payoff.tps_of_boards; each orbit of optima is canonicalized once.
     """
     if n < 3 or n > ORACLE_MAX_N:
         raise ValueError(
             f"oracle supports 3 <= n <= {ORACLE_MAX_N}, got {n}")
     nn = n * n
-    c0, c1, c2 = params.pair_sum
     best = -np.inf
     best_codes: list[int] = []
     chunk = 1 << 15  # 128 KB int32 temporaries; n <= 5 keeps shifts < 2^30
     for lo in range(0, 1 << nn, chunk):
         codes = np.arange(lo, min(lo + chunk, 1 << nn), dtype=np.int32)
-        tps_all = (c0 * nn + c1 * np.bitwise_count(codes)
-                   + c2 * pair_count(codes, n, np.bitwise_count))
+        tps_all = tps_of_boards(codes, n, params)
         m = tps_all.max()
         if m > best:
             best = m

@@ -46,7 +46,12 @@ def _read(path: str, kind: str = "pattern"):
 
 def _rule(rule: str) -> TemplateSet:
     """The built-in rule of that size, else the templates in that file."""
-    ts = builtin_set(int(rule)) if rule in _RULES else _read(rule, "template")
+    if rule in _RULES:
+        return builtin_set(int(rule))
+    if not Path(rule).is_file():
+        raise PatternError(f"--rule {rule}: neither a built-in rule "
+                           f"({', '.join(_RULES)}) nor a template file")
+    ts = _read(rule, "template")
     if not len(ts):  # a rule of pure noise
         raise PatternError(f"bad template file {rule}: no template")
     return ts

@@ -3,6 +3,9 @@
 One flat population; each slot tries to improve itself by uniform crossover
 with a random mate plus per-bit mutation. An offspring replaces its slot only
 if strictly fitter and not already present cell-for-cell in the population.
+
+For boards of <= 64 cells (n <= 8) a sweep screens all children as uint64
+words in one numpy pass and scores one by one only those that can win.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Pattern, check_size, pack_rows
-from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
+from .grid import Pattern, check_size, pack_rows, pack_words
+from .payoff import (DEFAULT_PARAMS, PayoffParams, tps_of_boards,
+                     tps_of_bits)
 
 
 @dataclass(frozen=True)
@@ -92,17 +96,18 @@ def init_population(cfg: GaConfig, n: int, rng: np.random.Generator,
 
 
 def draw_masks(cfg: GaConfig, m: int, nn: int,
-               rng: np.random.Generator) -> tuple[list[int], list[int]]:
+               rng: np.random.Generator) -> tuple:
     """m crossover masks (each bit set with p1) and then m mutation masks
-    (each bit set with p2), as bitboards of nn cells."""
-    cross = pack_rows(rng.random((m, nn)) < cfg.p1)
-    flip = pack_rows(rng.random((m, nn)) < cfg.p2)
-    return cross, flip
+    (each bit set with p2), as bitboards of nn cells: uint64 arrays for
+    nn <= 64, else lists of Python ints."""
+    draws = rng.random((2, m, nn))  # the same stream as two (m, nn) draws
+    pack = pack_words if nn <= 64 else pack_rows
+    return pack(draws[0] < cfg.p1), pack(draws[1] < cfg.p2)
 
 
-def make_offspring(parent: int, mate: int, cross: int, flip: int) -> int:
+def make_offspring(parent, mate, cross, flip):
     """Uniform crossover (take the cross bits from the mate), then mutation
-    (flip the flip bits)."""
+    (flip the flip bits), on Python-int or uint64 bitboards."""
     return ((parent & ~cross) | (mate & cross)) ^ flip
 
 
@@ -111,16 +116,35 @@ def ga_step(pop: Population, cfg: GaConfig, rng: np.random.Generator) -> None:
 
     Later slots see earlier replacements. The mate index may equal the slot
     itself, which degenerates to mutation-only offspring.
+
+    Boards of <= 64 cells are screened: all m children of the sweep-start
+    boards are scored in one tps_of_boards pass. Slot i keeps its board and
+    fitness until its turn, so a child not fitter there is skipped, unless
+    its mate was replaced earlier in the sweep. The rest are rebuilt from
+    the current boards and scored by tps_of_bits. The screen is
+    tps_of_bits's expression, so runs are bit-identical to scoring every
+    child, as larger boards are.
     """
-    m = len(pop)
-    mates = rng.integers(0, m, size=m).tolist()
-    cross, flip = draw_masks(cfg, m, pop.n * pop.n, rng)
-    boards = pop.boards
-    for i in range(m):
-        child = make_offspring(boards[i], boards[mates[i]], cross[i], flip[i])
-        fit = tps_of_bits(child, pop.n, pop.params)
-        if fit > pop.fitness[i] and not pop.contains_bits(child):
+    m, n, params = len(pop), pop.n, pop.params
+    boards, fitness = pop.boards, pop.fitness  # pop.replace updates both
+    mates = rng.integers(0, m, size=m)
+    cross, flip = draw_masks(cfg, m, n * n, rng)
+    if n * n <= 64:
+        words = np.array(boards, dtype=np.uint64)
+        children = make_offspring(words, words[mates], cross, flip)
+        fitter = (tps_of_boards(children, n, params) > fitness).tolist()
+        cross, flip = cross.tolist(), flip.tolist()
+    else:
+        fitter = [True] * m
+    replaced = set()
+    for i, j in enumerate(mates.tolist()):
+        if not (fitter[i] or j in replaced):
+            continue
+        child = make_offspring(boards[i], boards[j], cross[i], flip[i])
+        fit = tps_of_bits(child, n, params)
+        if fit > fitness[i] and not pop.contains_bits(child):
             pop.replace(i, child, fit)
+            replaced.add(i)
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,14 @@ class PayoffParams:
         if not all(map(math.isfinite, (self.t, self.r, self.p, self.s))):
             raise ValueError(f"payoffs must be finite, got {self}")
         # pair_sum is a plain attribute, not a field (so not in eq or hash):
-        # a cached property would slow every later attribute read here
+        # a cached property would slow every later attribute read here.
+        # All three are floats, even from int payoffs: a negative int c2
+        # cannot multiply payoff.tps_of_boards's uint64 pair counts
         own = 1.0 if self.self_play else 0.0
         object.__setattr__(self, "pair_sum", (
             8 * self.r + own * self.r,
             8 * (self.s + self.t) - 16 * self.r + own * (self.p - self.r),
-            2 * (self.r + self.p - self.s - self.t)))
+            2.0 * (self.r + self.p - self.s - self.t)))
 
     @property
     def k(self) -> int:
@@ -147,31 +149,35 @@ def characteristic(p: Pattern,
 
 
 @lru_cache(maxsize=None)
-def _torus_masks(n: int) -> tuple[int, int, int, int, int]:
+def _torus_masks(n: int) -> tuple[int, ...]:
     """Masks of an n x n bitboard: all but the last column, the last column,
-    all but the first column, the first column, and the first row."""
+    all but the first column, the first column, and the first row; then the
+    shifts that wrap a column and a row to the far side."""
     first = sum(1 << (i * n) for i in range(n))
     last = first << (n - 1)
     full = (1 << (n * n)) - 1
-    return full ^ last, last, full ^ first, first, (1 << n) - 1
+    return (full ^ last, last, full ^ first, first, (1 << n) - 1,
+            n - 1, n * n - n)
 
 
 def pair_count(x, n: int, popcount=int.bit_count):
     """Number E of 8-neighbor pairs of set bits on the n x n torus.
 
     x is a bitboard (bit k = flat cell k, row-major) with a matching
-    popcount, or an int32 (n <= 5) or int64 (n <= 7) array of them with
-    np.bitwise_count.
+    popcount, or an int32 (n <= 5), int64 (n <= 7) or uint64 (n <= 8) array
+    of them with np.bitwise_count; an array gives E in x's dtype.
     Each pair is counted once, from its upper or left cell, through the
     toroidal shifts right, down, down-right and down-left; this needs n >= 3.
     """
-    not_last, last, not_first, first, row0 = _torus_masks(n)
+    not_last, last, not_first, first, row0, col, row = _torus_masks(n)
     # bit k of each shift holds the state of cell k's neighbor that way
-    right = ((x >> 1) & not_last) | ((x << (n - 1)) & last)
-    down = (x >> n) | ((x & row0) << (n * n - n))
-    down_right = ((down >> 1) & not_last) | ((down << (n - 1)) & last)
-    down_left = ((down << 1) & not_first) | ((down >> (n - 1)) & first)
-    return (popcount(x & right) + popcount(x & down)
+    right = ((x >> 1) & not_last) | ((x << col) & last)
+    down = (x >> n) | ((x & row0) << row)
+    down_right = ((down >> 1) & not_last) | ((down << col) & last)
+    down_left = ((down << 1) & not_first) | ((down >> col) & first)
+    # 0 * x is 0 in x's own type: it widens np.bitwise_count's uint8
+    # counts, whose sum would wrap at 256 (the all-ones board at n = 8)
+    return (0 * x + popcount(x & right) + popcount(x & down)
             + popcount(x & down_right) + popcount(x & down_left))
 
 
@@ -185,3 +191,15 @@ def tps_of_bits(board: int, n: int,
         raise ValueError(f"need n >= 3 and a board of n^2 bits, got n = {n}")
     c0, c1, c2 = params.pair_sum
     return c0 * (n * n) + c1 * board.bit_count() + c2 * pair_count(board, n)
+
+
+def tps_of_boards(boards: np.ndarray, n: int,
+                  params: PayoffParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Float64 TPS of each bitboard in an array (a dtype pair_count takes).
+
+    The expression is tps_of_bits's, so each value equals its TPS exactly;
+    unlike tps_of_bits it does not check n or the boards.
+    """
+    c0, c1, c2 = params.pair_sum
+    return (c0 * (n * n) + c1 * np.bitwise_count(boards)
+            + c2 * pair_count(boards, n, np.bitwise_count))

@@ -138,6 +138,7 @@ class TestBadInput:
         ("ga", "--n", "4", "--target", "nan", "--iters", "5"),
         ("evolve", "--rule", "8", "--n", "2"),
         ("evolve", "--rule", "9", "--n", "4"),
+        ("evolve", "--rule", "53", "--n", "4"),
         ("evolve", "--rule", "8", "--n", "6", "--pi01", "1.5"),
         ("evolve", "--rule", "8", "--n", "4", "--tlimit", "2",
          "--dump-every", "-1"),
@@ -181,6 +182,15 @@ class TestBadInput:
                      *args[1:], expect_exit=1)
         assert json.loads(res.stderr)["error"]["stage"] == args[0]
         assert [f.name for f in tmp_path.iterdir()] == ["p.txt"]
+
+    @pytest.mark.parametrize("command", ["evolve", "bench", "pipeline"])
+    def test_unknown_rule_names_the_choices(self, runner, tmp_path, command):
+        res = invoke(runner, tmp_path, command, "--rule", "53", "--n", "4",
+                     expect_exit=1)
+        message = json.loads(res.stderr)["error"]["message"]
+        assert message == ("--rule 53: neither a built-in rule (8, 36, 52) "
+                           "nor a template file")
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_pattern_file(self, runner, tmp_path):
         pat = tmp_path / "p.txt"

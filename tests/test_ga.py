@@ -5,7 +5,7 @@ from wealthca.analysis import brute_force_oracle, derive_seed
 from wealthca.ga import (GaConfig, Population, draw_masks, ga_step,
                          init_population, make_offspring, run_ga)
 from wealthca.grid import Pattern, pack, pack_rows
-from wealthca.payoff import DEFAULT_PARAMS, tps, tps_of_bits
+from wealthca.payoff import DEFAULT_PARAMS, PayoffParams, tps, tps_of_bits
 
 
 class TestConfig:
@@ -167,3 +167,65 @@ class TestRun:
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):
             run_ga(GaConfig(max_iterations=1), 2)
+
+
+def reference_run(cfg, n, params, counts):
+    """run_ga with every child built and scored one by one, with no screen:
+    two mask draws of m rows, each packed row by row.
+
+    counts["mate_replaced"] counts the slots that the screen alone would
+    skip but whose mate was replaced earlier in the same sweep.
+    """
+    def masks(p, m):
+        rows = np.packbits(rng.random((m, n * n)) < p, axis=1,
+                           bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+    rng = np.random.default_rng(cfg.seed)
+    pop = init_population(cfg, n, rng, params)
+    m, iterations = len(pop), 0
+    while iterations < cfg.max_iterations:
+        if (cfg.target_fitness is not None
+                and pop.best_fitness >= cfg.target_fitness):
+            break
+        mates = rng.integers(0, m, size=m).tolist()
+        cross, flip = masks(cfg.p1, m), masks(cfg.p2, m)
+        start = list(pop.boards)
+        for i, j in enumerate(mates):
+            child = make_offspring(pop.boards[i], pop.boards[j], cross[i],
+                                   flip[i])
+            fit = tps_of_bits(child, n, params)
+            if pop.boards[j] != start[j] and tps_of_bits(make_offspring(
+                    start[i], start[j], cross[i], flip[i]),
+                    n, params) <= pop.fitness[i]:
+                counts["mate_replaced"] += 1
+            if fit > pop.fitness[i] and not pop.contains_bits(child):
+                pop.replace(i, child, fit)
+        iterations += 1
+    solutions = sorted(pop.solutions(), key=lambda s: s.fitness, reverse=True)
+    return solutions, iterations
+
+
+class TestScreenedSweep:
+    """ga_step screens boards of <= 64 cells in one array pass; the runs must
+    equal the per-child reference on both sides of that limit."""
+
+    CONFIGS = [GaConfig(max_iterations=40, seed=3),
+               GaConfig(population_size=2, max_iterations=40, seed=4)] + [
+        GaConfig(population_size=12, p1=p1, p2=p2, max_iterations=15,
+                 seed=5) for p1 in (0.0, 1.0) for p2 in (0.0, 1.0)]
+
+    @pytest.mark.parametrize("params", [DEFAULT_PARAMS,
+                                        PayoffParams(1.0, 3.0, 2.0, 0.0)],
+                             ids=["default", "c2>0"])
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_runs_equal_the_per_child_reference(self, n, params):
+        counts = {"mate_replaced": 0}
+        for cfg in self.CONFIGS:
+            res = run_ga(cfg, n, params)
+            solutions, iterations = reference_run(cfg, n, params, counts)
+            assert res.iterations == iterations
+            assert [(s.pattern, s.fitness) for s in res.solutions] == [
+                (s.pattern, s.fitness) for s in solutions]
+            assert res.best_fitness == solutions[0].fitness
+        assert counts["mate_replaced"] > 0

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 import numpy as np
 
 from wealthca.grid import (MOORE_OFFSETS, Pattern, PatternError, SYMMETRY_OPS,
-                           WINDOW_WEIGHTS, pack, pack_rows, parse, serialize,
-                           transform, window_codes, window_indices)
+                           WINDOW_WEIGHTS, pack, pack_rows, pack_words, parse,
+                           serialize, transform, window_codes, window_indices)
 
 patterns = st.integers(3, 8).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
@@ -158,6 +158,23 @@ class TestBitboard:
         assert Pattern.from_board(p.n, board) == p
         assert pack_rows(np.array([p.cells], dtype=np.uint8)) == [board]
         assert board.bit_count() == p.ones
+
+    @pytest.mark.parametrize("width", [1, 9, 63, 64, 65])
+    def test_pack_words_up_to_the_word_size(self, width):
+        # uint64 words hold up to 64 columns; pack_rows takes any width
+        rows = np.random.default_rng(width).integers(0, 2, size=(50, width))
+        rows[0], rows[1] = 0, 1
+        expected = [sum(int(v) << k for k, v in enumerate(row))
+                    for row in rows]
+        for data in (rows, rows.astype(np.uint8), rows.astype(bool)):
+            assert pack_rows(data) == expected
+            if width <= 64:
+                words = pack_words(data)
+                assert words.dtype == np.uint64
+                assert words.tolist() == expected
+            else:
+                with pytest.raises(ValueError):
+                    pack_words(data)
 
 
 class TestTransform:

@@ -1,15 +1,17 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wealthca.grid import (Coord, Pattern, SYMMETRY_OPS, pack, parse,
-                           transform)
+from wealthca.grid import (Coord, Pattern, SYMMETRY_OPS, pack, pack_rows,
+                           parse, transform)
 from wealthca.payoff import (DEFAULT_PARAMS, PayoffParams, Characteristic,
                              cell_total_payoff, cell_utility, characteristic,
-                             expected_wealth, pair_payoff, tps, tps_of_bits,
-                             total_payoff_grid, wealth)
+                             expected_wealth, pair_count, pair_payoff, tps,
+                             tps_of_boards, tps_of_bits, total_payoff_grid,
+                             wealth)
 
 
 def patterns(max_n=8):
@@ -144,6 +146,41 @@ class TestKernel:
         for board, n in ((0, 2), (1 << 9, 3), (-1, 3)):
             with pytest.raises(ValueError):
                 tps_of_bits(board, n)
+
+
+class TestArrayForm:
+    # the dtypes whose shifts hold an n x n board: int32 keeps bit 30 clear
+    # up to n = 5, int64 its sign bit up to n = 7
+    @staticmethod
+    def dtypes(n):
+        return [dt for dt, top in ((np.int32, 5), (np.int64, 7),
+                                   (np.uint64, 8)) if n <= top]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_equals_the_int_form(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, 2, size=(300, n * n), dtype=np.uint8)
+        rows[0], rows[1] = 0, 1
+        boards = pack_rows(rows)
+        for params in (DEFAULT_PARAMS, PayoffParams(3, 1, 0, 0),
+                       PayoffParams(1, 3, 2, 0), PayoffParams(1.25, 3.5, 2.75,
+                                                              0.5, False)):
+            fits = [tps_of_bits(b, n, params) for b in boards]
+            for dt in self.dtypes(n):
+                arr = np.array(boards, dtype=dt)
+                assert pair_count(arr, n, np.bitwise_count).tolist() == [
+                    pair_count(b, n) for b in boards]
+                assert tps_of_boards(arr, n, params).tolist() == fits
+
+    def test_all_ones_at_n8_does_not_wrap(self):
+        # four uint8 counts of 64 summed to 0 before they were widened
+        full = np.array([2 ** 64 - 1], dtype=np.uint64)
+        assert pair_count(full, 8, np.bitwise_count).tolist() == [256]
+        assert pair_count(2 ** 64 - 1, 8) == 256
+
+    def test_pair_sum_is_float_for_int_payoffs(self):
+        # a negative int c2 cannot multiply uint64 pair counts
+        assert all(type(c) is float for c in PayoffParams(3, 1, 0, 0).pair_sum)
 
 
 class TestExpectedWealth:
