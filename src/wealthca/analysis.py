@@ -6,7 +6,6 @@ import dataclasses
 import functools
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,6 +269,9 @@ def run_experiment(cfg: CaConfig | GaConfig, n: int, n_runs: int,
     # a pool launches all its workers at once; more than the CPUs only queue
     workers = min(jobs, n_runs, os.cpu_count() or 1)
     if workers > 1:
+        # imported here, not at the top: the pool's modules (multiprocessing
+        # among them) would add over 10 ms to every import of wealthca
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 run, seeds, chunksize=max(1, n_runs // (4 * workers))))

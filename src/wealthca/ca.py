@@ -169,7 +169,7 @@ class _Buckets:
         self.codes, self.pos = codes.tolist(), pos.tolist()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # the CA's only per-size cache
 def _window_flat_indices(n: int):
     """Per cell: the 9 flat indices of its window, MOORE_OFFSETS order."""
     index = list(range(n * n))  # one int object per cell, shared by rows

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -178,9 +178,13 @@ def pack(cells) -> int:
     return pack_rows(_cell_bits(cells)[None])[0]
 
 
-@lru_cache(maxsize=None)
 def window_indices(n: int) -> np.ndarray:
-    """(n*n, 9) flat indices of each cell's 3x3 window, MOORE_OFFSETS order."""
+    """(n*n, 9) flat indices of each cell's 3x3 window, MOORE_OFFSETS order.
+
+    Uncached, at 72 bytes per cell. ca._window_flat_indices reads it once
+    per size, perfbench times it in its set-up, and the tests check
+    window_codes against bits[window_indices(n)] @ WINDOW_WEIGHTS.
+    """
     i, j = np.divmod(np.arange(n * n, dtype=np.intp)[:, None], n)
     di, dj = np.array(MOORE_OFFSETS, dtype=np.intp).T
     idx = ((i + di) % n) * n + (j + dj) % n
@@ -191,9 +195,23 @@ def window_indices(n: int) -> np.ndarray:
 def window_codes(cells, n: int) -> np.ndarray:
     """9-bit code of each cell's 3x3 window (WINDOW_WEIGHTS), flat row-major.
 
-    cells is any row-major sequence or array of the n*n cell values.
+    cells is any row-major sequence or array of the n*n cell values. The
+    codes come from whole-array sums over the pattern wrapped at its edges,
+    so no per-size index table is built or kept.
     """
-    return _cell_bits(cells)[window_indices(n)] @ WINDOW_WEIGHTS
+    bits = _cell_bits(cells)
+    if len(bits) != n * n:
+        raise PatternError(f"expected {n * n} cells, got {len(bits)}")
+    b = bits.astype(np.int64).reshape(n, n)
+    wrap = np.arange(-1, n + 1) % n
+    w = b[:, wrap]  # each row with its last cell before and first after it
+    # l + 2c + 4r over a cell's (left, center, right) row triple is bits 0-2
+    # of the code of the cell below it and, shifted by 5, bits 5-7 of the
+    # code of the cell above it; its own row adds 8l + 16r + 256c
+    row = w[:, :-2] + 2 * w[:, 1:-1] + 4 * w[:, 2:]
+    codes = row[wrap[:-2]] + (row[wrap[2:]] << 5)
+    codes += 8 * w[:, :-2] + 16 * w[:, 2:] + 256 * b
+    return codes.reshape(-1)
 
 
 def transform(p: Pattern, op: str, di: int = 0, dj: int = 0) -> Pattern:

@@ -1,5 +1,10 @@
+import concurrent.futures
 import dataclasses
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,7 +544,9 @@ class TestExperiments:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        # run_experiment imports the pool from here when it opens one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         return sizes
 
     def test_pool_has_no_more_workers_than_runs(self, pool_sizes,
@@ -561,3 +568,14 @@ class TestExperiments:
         serial = run_experiment(cfg, 6, 8, jobs=1)
         assert run_experiment(cfg, 6, 8, jobs=64) == serial
         assert pool_sizes == size
+
+    def test_import_leaves_the_pool_modules_unloaded(self):
+        # only run_experiment with more than one worker needs them
+        src = str(Path(analysis.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, wealthca, wealthca.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith("
+             "('multiprocessing', 'concurrent'))))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,6 +114,47 @@ class TestWindowCodes:
                     w * p.at(i + di, j + dj)
                     for (di, dj), w in zip(MOORE_OFFSETS, WINDOW_WEIGHTS))
         assert (window_codes(p.to_array(), p.n) == codes).all()
+
+    def test_matches_the_index_table_form(self):
+        rng = np.random.default_rng(5)
+        for n in range(3, 13):
+            for density in (0.0, 0.3, 0.5, 1.0):
+                bits = (rng.random((n, n)) < density).astype(np.uint8)
+                want = bits.reshape(-1)[window_indices(n)] @ WINDOW_WEIGHTS
+                for cells in (tuple(bits.reshape(-1).tolist()),
+                              bits.reshape(-1).tolist(), bits,
+                              bits.astype(bool), bits.reshape(-1)):
+                    got = window_codes(cells, n)
+                    assert got.dtype == want.dtype == np.int64
+                    assert got.shape == (n * n,)
+                    assert (got == want).all(), (n, density)
+
+    @pytest.mark.parametrize("cells, n, got", [
+        ([1] * 10, 3, 10),  # long flat input: no silent prefix
+        ([0] * 8, 3, 8),
+        (np.ones((4, 4), dtype=np.uint8), 3, 16),
+        (np.ones((3, 4), dtype=np.uint8), 3, 12),  # not square
+    ])
+    def test_rejects_a_wrong_cell_count(self, cells, n, got):
+        with pytest.raises(PatternError,
+                           match=f"expected {n * n} cells, got {got}"):
+            window_codes(cells, n)
+
+    def test_keeps_no_memory_per_size(self):
+        # an index table cached per size would hold 72 bytes per cell, about
+        # 12 MB over these 48 sizes
+        rng = np.random.default_rng(2)
+        cells = {n: tuple(rng.integers(0, 2, n * n).tolist())
+                 for n in range(5, 100, 2)}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, c in cells.items():
+                assert Pattern(n, c).codes.shape == (n, n)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20, grown
 
 
 class TestPatternCodes:
