@@ -19,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (WINDOW_WEIGHTS, Pattern, check_size, window_codes,
-                   window_indices)
+from .grid import WINDOW_WEIGHTS, Pattern, check_size, window_indices
 # ca does not call tps_of_bits; perfbench's traced mode swaps ca.tps_of_bits
 from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_bits
 from .templates import TemplateSet
@@ -141,26 +140,28 @@ def _rate_table(ts: TemplateSet, pi_01: float, pi_10: float):
 class _Buckets:
     """Cells grouped by nonzero change probability under one rate table.
 
-    codes[c] is cell c's window code, windows[c] its window's flat indices
-    and pos[c] its index in members[bucket[codes[c]]] when that bucket is
-    not -1 (rate 0); members lists are kept by swap-remove, so their order
-    is arbitrary. ones and pairs are the pattern's defectors and 8-neighbor
-    defector pairs (E of payoff.pair_count), so TPS reads off them in O(1).
+    It is built from a Pattern, so a bad size or bad cells are refused
+    before any per-size table is made. codes[c] is cell c's window code
+    (Pattern.codes), windows[c] its window's flat indices and pos[c] its
+    index in members[bucket[codes[c]]] when that bucket is not -1 (rate 0);
+    members lists are kept by swap-remove, so their order is arbitrary.
+    ones and pairs are the pattern's defectors and 8-neighbor defector
+    pairs (E of payoff.pair_count), so TPS reads off them in O(1).
     """
 
     __slots__ = ("table", "windows", "codes", "pos", "members", "ones",
                  "pairs")
 
-    def __init__(self, cells, n: int, table):
+    def __init__(self, p: Pattern, table):
         rates, bucket = table
         self.table = table
-        self.windows = _window_flat_indices(n)
-        codes = window_codes(cells, n)
+        codes = p.codes.reshape(-1)
+        self.windows = _window_flat_indices(p.n)
         # a defector pair lies in the outer rings of both its cells
         rings = np.bitwise_count(codes[codes >= 256] & 255)
         self.ones, self.pairs = len(rings), int(rings.sum()) // 2
         slot = np.asarray(bucket)[codes]
-        pos = np.zeros(n * n, dtype=np.intp)
+        pos = np.zeros(len(codes), dtype=np.intp)
         self.members = []
         for b in range(len(rates)):
             m = np.flatnonzero(slot == b)  # ascending cell order
@@ -208,7 +209,7 @@ def _sampler(state: CaState, cfg: CaConfig) -> _Buckets:
     missing or was built for another table."""
     bk = state._buckets
     if bk is None or bk.table is not cfg.rate_table:
-        bk = state._buckets = _Buckets(state.cells, state.n, cfg.rate_table)
+        bk = state._buckets = _Buckets(state.pattern, cfg.rate_table)
     return bk
 
 
@@ -244,13 +245,13 @@ def _flip(state: CaState, bk: _Buckets, cell: int) -> None:
 
 def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
     """Update one cell; returns True if its pattern state changed."""
+    bk = _sampler(state, cfg)  # first: a bad state is refused unchanged
     n2 = state.n * state.n
     if cfg.selection == "sequential":
         cell = state.cursor
         state.cursor = (cell + 1) % n2
     else:
         cell = rng.randrange(n2)
-    bk = _sampler(state, cfg)
     code = bk.codes[cell]
     centers = cfg.hit_table[code]
     old = code >> 8

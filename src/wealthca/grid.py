@@ -82,8 +82,22 @@ class Pattern:
 
     @cached_property
     def codes(self) -> np.ndarray:
-        """Read-only (n, n) array of each cell's window code (window_codes)."""
-        codes = window_codes(self.cells, self.n).reshape(self.n, self.n)
+        """Read-only (n, n) int64 array of each cell's 9-bit window code
+        (WINDOW_WEIGHTS), the one source of window codes.
+
+        The codes come from whole-array sums over the pattern wrapped at its
+        edges, so no per-size index table is built or kept.
+        """
+        n = self.n
+        b = self.to_array().astype(np.int64)
+        wrap = np.arange(-1, n + 1) % n
+        w = b[:, wrap]  # each row with its last cell before and first after it
+        # l + 2c + 4r over a cell's (left, center, right) row triple is bits
+        # 0-2 of the code of the cell below it and, shifted by 5, bits 5-7 of
+        # the code of the cell above it; its own row adds 8l + 16r + 256c
+        row = w[:, :-2] + 2 * w[:, 1:-1] + 4 * w[:, 2:]
+        codes = row[wrap[:-2]] + (row[wrap[2:]] << 5)
+        codes += 8 * w[:, :-2] + 16 * w[:, 2:] + 256 * b
         codes.setflags(write=False)
         return codes
 
@@ -123,7 +137,9 @@ class Pattern:
         return cls(n, (0,) * (n * n))
 
     def to_array(self) -> np.ndarray:
-        return _cell_bits(self.cells).reshape(self.n, self.n)
+        """A fresh, writable (n, n) uint8 array of the cells."""
+        return np.frombuffer(bytearray(self.cells),
+                             dtype=np.uint8).reshape(self.n, self.n)
 
     def at(self, i: int, j: int) -> int:
         """Cell value with toroidal wrap."""
@@ -140,13 +156,6 @@ class Pattern:
         n = self.n
         return ["".join(str(v) for v in self.cells[i * n:(i + 1) * n])
                 for i in range(n)]
-
-
-def _cell_bits(cells) -> np.ndarray:
-    """Flat uint8 array of 0/1 cells: a sequence of ints or any 0/1 array."""
-    if isinstance(cells, np.ndarray):
-        return cells.astype(np.uint8).reshape(-1)
-    return np.frombuffer(bytearray(cells), dtype=np.uint8)
 
 
 # Bitboards: a pattern packed into one Python int, bit k = flat cell k
@@ -173,9 +182,9 @@ def pack_rows(rows: np.ndarray) -> list[int]:
             for k in range(0, len(data), width)]
 
 
-def pack(cells) -> int:
-    """Bitboard of a flat sequence of 0/1 Python ints."""
-    return pack_rows(_cell_bits(cells)[None])[0]
+def pack(p: Pattern) -> int:
+    """Bitboard of a pattern; the inverse of Pattern.from_board."""
+    return pack_rows(p.to_array().reshape(1, -1))[0]
 
 
 def window_indices(n: int) -> np.ndarray:
@@ -183,35 +192,13 @@ def window_indices(n: int) -> np.ndarray:
 
     Uncached, at 72 bytes per cell. ca._window_flat_indices reads it once
     per size, perfbench times it in its set-up, and the tests check
-    window_codes against bits[window_indices(n)] @ WINDOW_WEIGHTS.
+    Pattern.codes against bits[window_indices(n)] @ WINDOW_WEIGHTS.
     """
     i, j = np.divmod(np.arange(n * n, dtype=np.intp)[:, None], n)
     di, dj = np.array(MOORE_OFFSETS, dtype=np.intp).T
     idx = ((i + di) % n) * n + (j + dj) % n
     idx.setflags(write=False)
     return idx
-
-
-def window_codes(cells, n: int) -> np.ndarray:
-    """9-bit code of each cell's 3x3 window (WINDOW_WEIGHTS), flat row-major.
-
-    cells is any row-major sequence or array of the n*n cell values. The
-    codes come from whole-array sums over the pattern wrapped at its edges,
-    so no per-size index table is built or kept.
-    """
-    bits = _cell_bits(cells)
-    if len(bits) != n * n:
-        raise PatternError(f"expected {n * n} cells, got {len(bits)}")
-    b = bits.astype(np.int64).reshape(n, n)
-    wrap = np.arange(-1, n + 1) % n
-    w = b[:, wrap]  # each row with its last cell before and first after it
-    # l + 2c + 4r over a cell's (left, center, right) row triple is bits 0-2
-    # of the code of the cell below it and, shifted by 5, bits 5-7 of the
-    # code of the cell above it; its own row adds 8l + 16r + 256c
-    row = w[:, :-2] + 2 * w[:, 1:-1] + 4 * w[:, 2:]
-    codes = row[wrap[:-2]] + (row[wrap[2:]] << 5)
-    codes += 8 * w[:, :-2] + 16 * w[:, 2:] + 256 * b
-    return codes.reshape(-1)
 
 
 def transform(p: Pattern, op: str, di: int = 0, dj: int = 0) -> Pattern:

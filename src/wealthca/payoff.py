@@ -98,7 +98,7 @@ def cell_utility(p: Pattern, c: Coord,
 
 def tps(p: Pattern, params: PayoffParams = DEFAULT_PARAMS) -> float:
     """Total payoff sum over all cells; integer-valued for integer payoffs."""
-    return tps_of_bits(pack(p.cells), p.n, params)
+    return tps_of_bits(pack(p), p.n, params)
 
 
 def wealth(p: Pattern, params: PayoffParams = DEFAULT_PARAMS) -> float:

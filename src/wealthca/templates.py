@@ -38,7 +38,7 @@ _IMAGE_ORDER = tuple(map(SYMMETRY_OPS.index, (
 
 RULE_SIZES = (8, 36, 52)
 
-# Row-major weights of the 3x3 cells in a window code (grid.window_codes).
+# Row-major weights of the 3x3 cells in a window code (Pattern.codes).
 _ROW_WEIGHTS = tuple(w for _, w in sorted(zip(MOORE_OFFSETS, WINDOW_WEIGHTS)))
 
 
@@ -46,7 +46,7 @@ _ROW_WEIGHTS = tuple(w for _, w in sorted(zip(MOORE_OFFSETS, WINDOW_WEIGHTS)))
 class Template:
     """A 3x3 binary stencil: its 9-bit window code and a label.
 
-    code has the layout of grid.window_codes: outer cell k (row-major,
+    code has the layout of Pattern.codes: outer cell k (row-major,
     center skipped) is bit k and the center is bit 8.
     """
 

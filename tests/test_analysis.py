@@ -22,7 +22,7 @@ from wealthca.analysis import (_BASE5, ORACLE_MAX_N, _orbit,
 from wealthca.ca import CaConfig, run_ca
 from wealthca.ga import GaConfig, run_ga
 from wealthca.grid import (Coord, Pattern, PatternError, pack_rows, parse,
-                          symmetry_images, transform, window_codes)
+                          symmetry_images, transform)
 from wealthca.payoff import (DEFAULT_PARAMS, PayoffParams, cell_total_payoff,
                              pair_count, tps, wealth)
 from wealthca.templates import (Template, TemplateSet, builtin_set,
@@ -496,8 +496,8 @@ class TestExperiments:
         # defector costs one TPS unit (c1 + 2 c2 = 7 - 8); at n = 35 that is
         # less than the 4-decimal rounding step of wealth
         n = 35
-        cells = list(construct_optimal_odd(n).cells)
-        codes = window_codes(cells, n).tolist()
+        optimum = construct_optimal_odd(n)
+        cells, codes = list(optimum.cells), optimum.codes.ravel().tolist()
         cells[next(c for c, code in enumerate(codes)
                    if code < 256 and code.bit_count() == 2)] = 1
         start = Pattern(n, tuple(cells))

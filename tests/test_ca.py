@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from wealthca.analysis import derive_seed
 from wealthca.ca import (CaConfig, CaState, _Buckets, _hit_table, _rate_table,
-                         generation, init_ca, is_stable, micro_step, run_ca)
-from wealthca.grid import Coord, Pattern, pack, window_codes
+                         _window_flat_indices, generation, init_ca, is_stable,
+                         micro_step, run_ca)
+from wealthca.grid import Coord, Pattern, PatternError, pack
 from wealthca.payoff import PayoffParams, pair_count, tps, wealth
 from wealthca.templates import (Template, TemplateSet, builtin_set,
                                 extract_templates, match_except_center)
@@ -32,7 +33,7 @@ def stepped_under_rule8():
     micro_step(state, dataclasses.replace(cfg, selection="sequential"), rng)
     centers = cfg.hit_table
     assert any(centers[c] and c >> 8 not in centers[c]
-               for c in window_codes(state.cells, 8).tolist())
+               for c in state.pattern.codes.ravel().tolist())
     return state, rng
 
 
@@ -90,6 +91,31 @@ class TestInit:
         assert ones / (200 * 100) == pytest.approx(0.25, abs=0.02)
 
 
+class TestHandBuiltStates:
+    # a CaState built by hand is checked as a Pattern when its sampler is
+    # built: before a step, a draw or any per-size table
+    @pytest.mark.parametrize("n, cells, match", [
+        (3, [0, 2] + [0] * 7, "cell values"),
+        (4, [1] * 17, "expected 16 cells, got 17"),
+        (2, [0, 1, 1, 0], "side length"),
+    ])
+    @pytest.mark.parametrize("selection", ["random", "sequential"])
+    @pytest.mark.parametrize("step", [
+        micro_step, generation, lambda state, cfg, rng: is_stable(state, cfg)],
+        ids=["micro_step", "generation", "is_stable"])
+    def test_bad_states_are_refused(self, n, cells, match, selection, step):
+        cfg = CaConfig(RULE52, selection=selection)
+        state = CaState(n=n, cells=list(cells), hits=[0] * len(cells))
+        rng = random.Random(0)
+        cached = _window_flat_indices.cache_info()
+        with pytest.raises(PatternError, match=match):
+            step(state, cfg, rng)
+        assert _window_flat_indices.cache_info() == cached
+        assert state.cells == cells and state._buckets is None
+        assert (state.t, state.cursor, state.changes) == (0, 0, 0)
+        assert rng.getstate() == random.Random(0).getstate()  # no draw
+
+
 class TestMicroStep:
     def test_match_writes_template_center(self):
         # on an all-zero grid the lone-defector template matches everywhere,
@@ -133,10 +159,11 @@ class TestMicroStep:
 
     def test_packs_the_window_code_layout(self):
         # micro_step reads the sampler's window codes; at every cell it must
-        # hit the one template whose outer ring is window_codes(...) & 255
+        # hit the one template whose outer ring is Pattern.codes & 255
         rng = random.Random(1)
         cells = [rng.randrange(2) for _ in range(49)]
-        for cell, code in enumerate(window_codes(cells, 7).tolist()):
+        for cell, code in enumerate(
+                Pattern(7, tuple(cells)).codes.ravel().tolist()):
             cfg = CaConfig(TemplateSet((Template(code),)),
                            selection="sequential", pi_01=0.0, pi_10=0.0)
             state = CaState(n=7, cells=list(cells), hits=[0] * 49,
@@ -411,11 +438,10 @@ probabilities = st.one_of(st.just(0.0), st.just(1.0),
 
 def assert_buckets_rebuilt(state, table):
     bk = state._buckets
-    fresh = _Buckets(state.cells, state.n, table)
-    assert bk.codes == fresh.codes == window_codes(state.cells,
-                                                   state.n).tolist()
+    fresh = _Buckets(state.pattern, table)
+    assert bk.codes == fresh.codes == state.pattern.codes.ravel().tolist()
     assert [sorted(m) for m in bk.members] == fresh.members
-    board = pack(state.cells)
+    board = pack(state.pattern)
     assert bk.ones == fresh.ones == board.bit_count()
     assert bk.pairs == fresh.pairs == pair_count(board, state.n)
     bucket = table[1]
@@ -484,7 +510,7 @@ class TestJumpGeneration:
             rings.setdefault(t.outer_code(), set()).add(t.center)
         assert is_stable(state, cfg) == all(
             rings.get(c & 255) == {c >> 8}
-            for c in window_codes(state.cells, n).tolist())
+            for c in state.pattern.codes.ravel().tolist())
 
     def test_every_micro_step_flips_when_every_rate_is_one(self):
         cfg = CaConfig(TemplateSet(()), pi_01=1.0, pi_10=1.0)

@@ -36,7 +36,7 @@ class TestOffspring:
     # statistics of the operator ga_step runs, on masks drawn as it draws them
     nn = 16
     parent = 0
-    mate = pack((1,) * 8 + (0,) * 8)
+    mate = pack(Pattern(4, (1,) * 8 + (0,) * 8))
 
     def children(self, cfg, mate, draws, seed):
         rng = np.random.default_rng(seed)
@@ -85,7 +85,7 @@ class TestPopulation:
     def test_duplicate_index_tracks_replacement(self):
         cfg = GaConfig(population_size=4, seed=0)
         pop = init_population(cfg, 3, np.random.default_rng(cfg.seed))
-        board = pack((1,) * 9)
+        board = pack(Pattern(3, (1,) * 9))
         assert not pop.contains_bits(board)
         pop.replace(0, board, 0.0)
         assert pop.contains_bits(board)
@@ -154,7 +154,7 @@ class TestRun:
         fits = [s.fitness for s in res.solutions]
         assert fits == sorted(fits, reverse=True)
         assert res.best.fitness == res.best_fitness
-        assert tps_of_bits(pack(res.best.pattern.cells), 4) == res.best_fitness
+        assert tps_of_bits(pack(res.best.pattern), 4) == res.best_fitness
 
     def test_golden_trajectory(self):
         # run lengths of the numpy-row GA that the bitboard GA replaced: the

@@ -8,7 +8,7 @@ import numpy as np
 
 from wealthca.grid import (MOORE_OFFSETS, Pattern, PatternError, SYMMETRY_OPS,
                            WINDOW_WEIGHTS, pack, pack_rows, pack_words, parse,
-                           serialize, transform, window_codes, window_indices)
+                           serialize, transform, window_indices)
 
 patterns = st.integers(3, 8).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
@@ -76,6 +76,13 @@ class TestPattern:
         with pytest.raises(PatternError):
             Pattern.from_array(arr)
 
+    def test_to_array_is_a_fresh_writable_copy(self):
+        p = Pattern(3, (0, 1, 0, 0, 0, 0, 0, 0, 1))
+        arr = p.to_array()
+        assert arr.dtype == np.uint8 and arr.shape == (3, 3)
+        arr[0, 0] = 1
+        assert p.cells[0] == 0 and p.to_array()[0, 0] == 0
+
     def test_wrap_indexing(self):
         p = parse("100\n000\n000")
         assert p[0, 0] == 1
@@ -99,21 +106,21 @@ class TestWindowCodes:
     def test_wrap_picks_up_far_corner_center_first(self):
         cells = [0] * 25
         cells[0] = 1  # (0, 0)
-        codes = window_codes(cells, 5)
-        assert codes[0] == 256  # the center is bit 8
-        assert codes[4 * 5 + 4] == 128  # offset (1, 1) wraps to (0, 0)
-        assert codes[1] == 8  # offset (0, -1) is outer cell 3
+        codes = Pattern(5, tuple(cells)).codes
+        assert codes[0, 0] == 256  # the center is bit 8
+        assert codes[4, 4] == 128  # offset (1, 1) wraps to (0, 0)
+        assert codes[0, 1] == 8  # offset (0, -1) is outer cell 3
         assert (codes > 0).sum() == 9
 
     @given(patterns)
     def test_bits_follow_the_window_weights(self, p):
-        codes = window_codes(p.cells, p.n)
+        codes = p.codes
         for i in range(p.n):
             for j in range(p.n):
-                assert codes[i * p.n + j] == sum(
+                assert codes[i, j] == sum(
                     w * p.at(i + di, j + dj)
                     for (di, dj), w in zip(MOORE_OFFSETS, WINDOW_WEIGHTS))
-        assert (window_codes(p.to_array(), p.n) == codes).all()
+        assert (Pattern.from_array(p.to_array()).codes == codes).all()
 
     def test_matches_the_index_table_form(self):
         rng = np.random.default_rng(5)
@@ -121,13 +128,16 @@ class TestWindowCodes:
             for density in (0.0, 0.3, 0.5, 1.0):
                 bits = (rng.random((n, n)) < density).astype(np.uint8)
                 want = bits.reshape(-1)[window_indices(n)] @ WINDOW_WEIGHTS
-                for cells in (tuple(bits.reshape(-1).tolist()),
-                              bits.reshape(-1).tolist(), bits,
-                              bits.astype(bool), bits.reshape(-1)):
-                    got = window_codes(cells, n)
+                for p in (Pattern(n, tuple(bits.reshape(-1).tolist())),
+                          Pattern(n, bits.reshape(-1).tolist()),
+                          Pattern.from_array(bits),
+                          Pattern.from_array(bits.astype(bool)),
+                          Pattern.from_array(bits.astype(np.int64))):
+                    got = p.codes
                     assert got.dtype == want.dtype == np.int64
-                    assert got.shape == (n * n,)
-                    assert (got == want).all(), (n, density)
+                    assert got.shape == (n, n)
+                    assert not got.flags.writeable
+                    assert (got.reshape(-1) == want).all(), (n, density)
 
     @pytest.mark.parametrize("cells, n, got", [
         ([1] * 10, 3, 10),  # long flat input: no silent prefix
@@ -138,7 +148,7 @@ class TestWindowCodes:
     def test_rejects_a_wrong_cell_count(self, cells, n, got):
         with pytest.raises(PatternError,
                            match=f"expected {n * n} cells, got {got}"):
-            window_codes(cells, n)
+            Pattern(n, np.ravel(cells).tolist())
 
     def test_keeps_no_memory_per_size(self):
         # an index table cached per size would hold 72 bytes per cell, about
@@ -160,7 +170,10 @@ class TestWindowCodes:
 class TestPatternCodes:
     @given(patterns)
     def test_is_the_window_code_grid(self, p):
-        assert (p.codes == window_codes(p.cells, p.n).reshape(p.n, p.n)).all()
+        bits = np.array(p.cells, dtype=np.uint8)
+        want = bits[window_indices(p.n)] @ WINDOW_WEIGHTS
+        assert p.codes.dtype == np.int64
+        assert (p.codes == want.reshape(p.n, p.n)).all()
         assert p.codes is p.codes  # computed once
 
     def test_read_only(self, optimal7):
@@ -186,7 +199,7 @@ class TestBitboard:
         p = Pattern.zeros(5)
         cells = list(p.cells)
         cells[2 * 5 + 3] = 1
-        assert pack(cells) == 1 << 13
+        assert pack(Pattern(5, tuple(cells))) == 1 << 13
         assert Pattern.from_board(5, 1 << 13) == Pattern(5, tuple(cells))
 
     @pytest.mark.parametrize("board", [(1 << 9) | 1, 1 << 9, -1])
@@ -196,7 +209,7 @@ class TestBitboard:
 
     @given(patterns)
     def test_round_trip(self, p):
-        board = pack(p.cells)
+        board = pack(p)
         assert Pattern.from_board(p.n, board) == p
         assert pack_rows(np.array([p.cells], dtype=np.uint8)) == [board]
         assert board.bit_count() == p.ones

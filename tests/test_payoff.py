@@ -98,8 +98,8 @@ class TestTpsAndWealth:
         assert wealth(optimal7) == pytest.approx(1.18367, abs=1e-5)
 
     def test_tps_of_bits_matches_pattern_path(self, optimal7):
-        assert tps_of_bits(pack(optimal7.cells), 7) == 522.0
-        assert tps_of_bits(pack(optimal7.cells), 7) == (
+        assert tps_of_bits(pack(optimal7), 7) == 522.0
+        assert tps_of_bits(pack(optimal7), 7) == (
             total_payoff_grid(optimal7).sum())
 
     @given(patterns())
@@ -140,7 +140,7 @@ class TestKernel:
     def test_matches_scalar_reference(self, p, params):
         ref = sum(cell_total_payoff(p, Coord(i, j), params)
                   for i in range(p.n) for j in range(p.n))
-        assert tps_of_bits(pack(p.cells), p.n, params) == ref
+        assert tps_of_bits(pack(p), p.n, params) == ref
 
     def test_rejects_tiny_grids_and_stray_bits(self):
         for board, n in ((0, 2), (1 << 9, 3), (-1, 3)):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wealthca.analysis import construct_optimal_odd
-from wealthca.grid import (Coord, Pattern, PatternError, symmetry_images,
-                           window_codes)
+from wealthca.grid import Coord, Pattern, PatternError, symmetry_images
 from wealthca.templates import (RULE_SIZES, Template, TemplateSet,
                                 _symmetry_codes, builtin_set,
                                 complete_under_symmetry, extract_templates,
@@ -110,7 +109,7 @@ class TestTemplate:
             for r in range(3):
                 for c in range(3):
                     cells[(1 + r) * 5 + 1 + c] = t.values[r][c]
-            assert window_codes(cells, 5)[2 * 5 + 2] == t.code
+            assert Pattern(5, tuple(cells)).codes[2, 2] == t.code
 
     def test_rejects_code_out_of_range(self):
         for code in (-1, 512):
@@ -160,7 +159,7 @@ class TestSymmetry:
         for code in range(512):
             images = symmetry_images(np.array(Template(code).values))
             assert _symmetry_codes()[code] == tuple(
-                int(window_codes(img, 3)[4]) for img in images)
+                int(Pattern.from_array(img).codes[1, 1]) for img in images)
 
     def test_orbit_starts_with_the_template(self):
         x = Template.from_rows(("110", "010", "000"), "X0")
