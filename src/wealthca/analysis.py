@@ -13,8 +13,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ca import CaConfig, run_ca
 from .ga import GaConfig, run_ga
-from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Pattern, check_size,
-                   pack_rows, symmetry_images)
+from .grid import (MOORE_OFFSETS, WINDOW_WEIGHTS, Pattern, check_int,
+                   check_size, pack_rows, symmetry_images)
 from .payoff import DEFAULT_PARAMS, PayoffParams, tps_of_boards
 
 # Unique 5x5 optimum (up to symmetry), oriented so that border growth below
@@ -94,6 +94,7 @@ def structure_report(p: Pattern) -> StructureReport:
 
 
 def _require_odd(n: int) -> int:
+    check_int(n)
     if n < 5 or n % 2 == 0:
         raise ValueError(f"size must be odd and >= 5, got {n}")
     return (n - 5) // 2
@@ -181,6 +182,7 @@ def brute_force_oracle(n: int,
     Codes are bitboards (grid.pack), scored in int32 chunks by
     payoff.tps_of_boards; each orbit of optima is canonicalized once.
     """
+    check_int(n)
     if n < 3 or n > ORACLE_MAX_N:
         raise ValueError(
             f"oracle supports 3 <= n <= {ORACLE_MAX_N}, got {n}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -61,18 +61,18 @@ class CaConfig:
 
 @dataclass
 class CaState:
-    """Mutable per-run state: pattern cells, hit flags, generation counter.
+    """Mutable per-run state: pattern cells, generation counter, sampler.
 
     cells change only through micro_step and generation, each flip through
-    _flip, which keeps the sampler current. hits is written only by
-    micro_step; changes counts the cell flips of both. The sampler counts
-    the defectors and defector pairs: run_ca reads each generation's TPS off
-    them, and is_stable answers "not stable" from the bucket sizes.
+    _flip, which keeps the sampler current; changes counts the flips. The
+    sampler counts the defectors and defector pairs: run_ca reads each
+    generation's TPS off them, and is_stable answers "not stable" from the
+    bucket sizes.
     """
 
     n: int
     cells: list[int]
-    hits: list[int]
+    hits: InitVar[list[int] | None] = None  # accepted, not stored
     t: int = 0
     cursor: int = 0  # next cell under sequential selection
     changes: int = 0
@@ -81,7 +81,7 @@ class CaState:
 
     @property
     def pattern(self) -> Pattern:
-        return Pattern(self.n, tuple(self.cells))
+        return Pattern(self.n, self.cells)
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def init_ca(cfg: CaConfig, n: int | None, rng: random.Random,
                          f"{start.n}x{start.n} start pattern")
     else:
         n, cells = start.n, list(start.cells)
-    return CaState(n=n, cells=cells, hits=[0] * (n * n))
+    return CaState(n=n, cells=cells)
 
 
 def _sampler(state: CaState, cfg: CaConfig) -> _Buckets:
@@ -256,13 +256,9 @@ def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
     centers = cfg.hit_table[code]
     old = code >> 8
     if centers:
-        state.hits[cell] = 1
         new = centers[0] if len(centers) == 1 else rng.choice(centers)
-    else:
-        state.hits[cell] = 0
-        new = old
-        if rng.random() < (cfg.pi_10 if old else cfg.pi_01):
-            new = 1 - old
+    else:  # noise flips a 1 with probability pi_10, a 0 with pi_01
+        new = old ^ (rng.random() < (cfg.pi_10 if old else cfg.pi_01))
     if new == old:
         return False
     _flip(state, bk, cell)

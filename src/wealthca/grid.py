@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,11 +41,20 @@ class PatternError(ValueError):
     """Raised for malformed pattern data or text."""
 
 
+def check_int(n) -> None:
+    """Raise PatternError unless n is an int or numpy int (operator.index)."""
+    try:
+        operator.index(n)
+    except TypeError:
+        raise PatternError(f"size must be an integer, got {n!r}") from None
+
+
 def check_size(n: int) -> None:
-    """Raise PatternError unless n is a valid side length (>= 3).
+    """Raise PatternError unless n is a valid side length (an integer >= 3).
 
     Below 3 the eight Moore neighbors of a cell are no longer distinct.
     """
+    check_int(n)
     if n < 3:
         raise PatternError(f"side length must be >= 3, got {n}")
 
@@ -66,8 +76,11 @@ class Pattern:
 
     def __post_init__(self):
         check_size(self.n)
-        try:  # ints and bools in 0..255 pass, other types raise
-            data = bytes(list(self.cells))
+        cells = self.cells
+        try:  # ints and bools in 0..255 pass, other types raise; list()
+            # refuses a bare int and keeps bytes() off an array's buffer
+            data = bytes(cells if isinstance(cells, (tuple, list, bytes))
+                         else list(cells))
         except (TypeError, ValueError):
             data = None
         if data is None or data.translate(None, b"\0\1"):
@@ -76,6 +89,7 @@ class Pattern:
             raise PatternError(
                 f"expected {self.n * self.n} cells, got {len(data)}")
         object.__setattr__(self, "cells", tuple(data))  # plain ints
+        object.__setattr__(self, "_bytes", data)  # for to_array, codes, ones
 
     def __reduce__(self):  # not the cached codes: they would load writable
         return type(self), (self.n, self.cells)
@@ -89,7 +103,7 @@ class Pattern:
         edges, so no per-size index table is built or kept.
         """
         n = self.n
-        b = self.to_array().astype(np.int64)
+        b = np.frombuffer(self._bytes, np.uint8).astype(np.int64).reshape(n, n)
         wrap = np.arange(-1, n + 1) % n
         w = b[:, wrap]  # each row with its last cell before and first after it
         # l + 2c + 4r over a cell's (left, center, right) row triple is bits
@@ -130,7 +144,7 @@ class Pattern:
         data = board.to_bytes((n * n + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                              count=n * n, bitorder="little")
-        return cls(n, tuple(bits.tolist()))
+        return cls(n, bits.tobytes())
 
     @classmethod
     def zeros(cls, n: int) -> "Pattern":
@@ -138,7 +152,7 @@ class Pattern:
 
     def to_array(self) -> np.ndarray:
         """A fresh, writable (n, n) uint8 array of the cells."""
-        return np.frombuffer(bytearray(self.cells),
+        return np.frombuffer(bytearray(self._bytes),
                              dtype=np.uint8).reshape(self.n, self.n)
 
     def at(self, i: int, j: int) -> int:
@@ -150,7 +164,7 @@ class Pattern:
 
     @property
     def ones(self) -> int:
-        return sum(self.cells)
+        return self._bytes.count(1)
 
     def rows(self) -> list[str]:
         n = self.n

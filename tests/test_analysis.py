@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -19,7 +20,7 @@ from wealthca.analysis import (_BASE5, ORACLE_MAX_N, _orbit,
                                optimal_tps, point_filled, run_experiment,
                                structure_report, tps_formula_odd,
                                wealth_formula_odd)
-from wealthca.ca import CaConfig, run_ca
+from wealthca.ca import CaConfig, init_ca, run_ca
 from wealthca.ga import GaConfig, run_ga
 from wealthca.grid import (Coord, Pattern, PatternError, pack_rows, parse,
                           symmetry_images, transform)
@@ -423,6 +424,46 @@ class TestOracle:
         for n in (2, ORACLE_MAX_N + 1):
             with pytest.raises(ValueError):
                 brute_force_oracle(n)
+
+
+class TestSizeMustBeAnInteger:
+    # each entry point refuses a float size before any work, so 3.0 cannot
+    # make a Pattern with n = 3.0, nor optimal_tps(6.0) answer 387.0
+    ENTRY_POINTS = {
+        "Pattern": lambda n: Pattern(n, (0,) * 9),
+        "init_ca": lambda n: init_ca(CaConfig(builtin_set(8)), n,
+                                     random.Random(0)),
+        "run_ga": lambda n: run_ga(GaConfig(max_iterations=1), n),
+        "point_filled": lambda n: point_filled(n + 1),
+        "construct_optimal_odd": lambda n: construct_optimal_odd(n + 2),
+        "brute_force_oracle": brute_force_oracle,
+        "optimal_tps": lambda n: optimal_tps(n + 3),
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_refuses_a_float(self, name):
+        with pytest.raises(PatternError, match=r"integer, got \d\.0"):
+            self.ENTRY_POINTS[name](3.0)
+
+    def test_pattern_names_no_fractional_cell_count(self):
+        with pytest.raises(PatternError, match="integer, got 3.5"):
+            Pattern(3.5, (0,) * 12)
+
+    # run_ga is left out: payoff.tps_of_bits cannot take a numpy int n
+    @pytest.mark.parametrize("name", sorted(set(ENTRY_POINTS) - {"run_ga"}))
+    def test_takes_a_numpy_int(self, name):
+        self.ENTRY_POINTS[name](np.int64(3))
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: Pattern(2, (0,) * 4), "side length must be >= 3, got 2"),
+        (lambda: point_filled(2), "side length must be >= 3, got 2"),
+        (lambda: optimal_tps(2), "side length must be >= 3, got 2"),
+        (lambda: construct_optimal_odd(4), "odd and >= 5, got 4"),
+        (lambda: brute_force_oracle(6), "3 <= n <= 5, got 6"),
+    ])
+    def test_integers_out_of_range_keep_their_messages(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestSeeds:

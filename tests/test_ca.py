@@ -105,7 +105,7 @@ class TestHandBuiltStates:
         ids=["micro_step", "generation", "is_stable"])
     def test_bad_states_are_refused(self, n, cells, match, selection, step):
         cfg = CaConfig(RULE52, selection=selection)
-        state = CaState(n=n, cells=list(cells), hits=[0] * len(cells))
+        state = CaState(n=n, cells=list(cells))
         rng = random.Random(0)
         cached = _window_flat_indices.cache_info()
         with pytest.raises(PatternError, match=match):
@@ -116,60 +116,94 @@ class TestHandBuiltStates:
         assert rng.getstate() == random.Random(0).getstate()  # no draw
 
 
+class TestHitsKeyword:
+    def test_is_accepted_and_not_kept(self):
+        # perfbench's stable check builds its state with hits=[0] * n^2
+        cfg = CaConfig(RULE52, seed=0)
+        res = run_ca(cfg, n=9)
+        assert res.stable
+        state = CaState(n=9, cells=list(res.final.cells), hits=[0] * 81)
+        assert "hits" not in [f.name for f in dataclasses.fields(CaState)]
+        assert "hits" not in vars(state)
+        rng = random.Random(1)
+        for _ in range(81):
+            assert not micro_step(state, cfg, rng)
+        assert state.pattern == res.final
+
+
 class TestMicroStep:
+    # with zero noise and a template center opposite the cell, only a
+    # template step can flip the cell; with noise 1 only a noise step can
+    # flip a cell no template matches
+
     def test_match_writes_template_center(self):
         # on an all-zero grid the lone-defector template matches everywhere,
         # so the first sequential step must set cell 0 to 1
-        cfg = CaConfig(RULE8, selection="sequential", init_density=0.0)
+        cfg = CaConfig(RULE8, selection="sequential", init_density=0.0,
+                       pi_01=0.0, pi_10=0.0)
         rng = random.Random(0)
         state = init_ca(cfg, 5, rng)
+        assert cfg.hit_table[int(state.pattern.codes[0, 0])] == (1,)
         assert micro_step(state, cfg, rng)
-        assert state.cells[0] == 1
-        assert state.hits[0] == 1
+        assert state.cells == [1] + [0] * 24
 
     def test_no_match_noise_clears_defector(self):
         # a fully defecting grid matches no template; with pi_10 = 1 the
         # visited cell must flip to 0
         cfg = CaConfig(RULE52, selection="sequential", pi_10=1.0)
         rng = random.Random(0)
-        state = CaState(n=3, cells=[1] * 9, hits=[0] * 9)
+        state = CaState(n=3, cells=[1] * 9)
+        assert cfg.hit_table[int(state.pattern.codes[0, 0])] == ()
         assert micro_step(state, cfg, rng)
-        assert state.cells[0] == 0
-        assert state.hits[0] == 0
+        assert state.cells == [0] + [1] * 8
 
     def test_no_match_noise_can_keep_zero(self):
         cfg = CaConfig(RULE52, selection="sequential", pi_01=0.0)
         rng = random.Random(0)
         cells = [1] * 9
         cells[0] = 0  # outer ring of cell 0 is all ones: no template match
-        state = CaState(n=3, cells=cells, hits=[0] * 9)
+        state = CaState(n=3, cells=cells)
         assert not micro_step(state, cfg, rng)
         assert state.cells[0] == 0
 
     def test_hit_flag_tracks_outer_matching(self):
-        cfg = CaConfig(RULE36, selection="sequential", init_density=0.3)
+        # noise 1 flips every unmatched cell; a matched cell takes a center
+        cfg = CaConfig(RULE36, selection="sequential", init_density=0.3,
+                       pi_01=1.0, pi_10=1.0)
         rng = random.Random(5)
         state = init_ca(cfg, 7, rng)
+        kept = flipped = 0
         for cell in range(49):
-            micro_step(state, cfg, rng)
             p = state.pattern
             c = Coord(cell // 7, cell % 7)
-            expect = any(match_except_center(p, c, t) for t in RULE36)
-            assert state.hits[cell] == int(expect)
+            centers = cfg.hit_table[int(p.codes[c.i, c.j])]
+            assert bool(centers) == any(match_except_center(p, c, t)
+                                        for t in RULE36)
+            old = state.cells[cell]
+            micro_step(state, cfg, rng)
+            if centers:
+                assert state.cells[cell] in centers
+                kept += centers == (old,)  # a flip would leave them
+            else:
+                assert state.cells[cell] == 1 - old
+                flipped += 1
+        assert kept and flipped  # both kinds of step were seen
 
     def test_packs_the_window_code_layout(self):
         # micro_step reads the sampler's window codes; at every cell it must
-        # hit the one template whose outer ring is Pattern.codes & 255
+        # hit the one template whose outer ring is Pattern.codes & 255, so
+        # with the opposite center and zero noise the cell must flip
         rng = random.Random(1)
         cells = [rng.randrange(2) for _ in range(49)]
         for cell, code in enumerate(
                 Pattern(7, tuple(cells)).codes.ravel().tolist()):
-            cfg = CaConfig(TemplateSet((Template(code),)),
+            cfg = CaConfig(TemplateSet((Template(code ^ 256),)),
                            selection="sequential", pi_01=0.0, pi_10=0.0)
-            state = CaState(n=7, cells=list(cells), hits=[0] * 49,
-                            cursor=cell)
-            assert not micro_step(state, cfg, rng)
-            assert state.hits[cell] == 1
+            state = CaState(n=7, cells=list(cells), cursor=cell)
+            assert micro_step(state, cfg, rng)
+            flipped = list(cells)
+            flipped[cell] = 1 - cells[cell]
+            assert state.cells == flipped
 
     def test_follows_the_config_it_is_given(self):
         state, rng = stepped_under_rule8()
@@ -479,7 +513,7 @@ class TestJumpGeneration:
         cfg = CaConfig(ts, pi_01=data.draw(probabilities),
                        pi_10=data.draw(probabilities))
         table = _rate_table(ts, cfg.pi_01, cfg.pi_10)
-        state = CaState(n=n, cells=list(cells), hits=[0] * (n * n))
+        state = CaState(n=n, cells=list(cells))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         for t in range(1, 6):
             before = state.changes
@@ -501,7 +535,7 @@ class TestJumpGeneration:
             ts = _random_template_set(data.draw)
         cfg = CaConfig(ts, pi_01=data.draw(probabilities),
                        pi_10=data.draw(probabilities))
-        state = CaState(n=n, cells=list(cells), hits=[0] * (n * n))
+        state = CaState(n=n, cells=list(cells))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         for _ in range(data.draw(st.integers(0, 3))):
             generation(state, cfg, rng)  # keeps the buckets current
@@ -548,7 +582,7 @@ class TestJumpGeneration:
                        pi_10=data.draw(probabilities))
         by_selection = {s: dataclasses.replace(cfg, selection=s)
                         for s in ("random", "sequential")}
-        state = CaState(n=n, cells=list(cells), hits=[0] * (n * n))
+        state = CaState(n=n, cells=list(cells))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         steps = data.draw(st.lists(
             st.tuples(st.sampled_from(["micro_step", "generation"]),

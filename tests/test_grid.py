@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -89,6 +90,61 @@ class TestPattern:
         assert p[3, 3] == 1
         assert p[-3, -3] == 1
         assert p[1, 1] == 0
+
+
+CELLS = (0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0)  # a 4x4 pattern
+
+
+class TestConversion:
+    # each way into a Pattern converts the cells once; every view must read
+    # the same cells as the tuple
+    BUILDS = {
+        "tuple": lambda: Pattern(4, CELLS),
+        "list": lambda: Pattern(4, list(CELLS)),
+        "bytes": lambda: Pattern(4, bytes(CELLS)),
+        "bools": lambda: Pattern(4, [bool(v) for v in CELLS]),
+        "int64 array": lambda: Pattern(4, np.array(CELLS, dtype=np.int64)),
+        "from_rows": lambda: Pattern.from_rows(
+            ["".join(map(str, CELLS[k:k + 4])) for k in range(0, 16, 4)]),
+        "from_array": lambda: Pattern.from_array(
+            np.array(CELLS).reshape(4, 4)),
+        "from_board": lambda: Pattern.from_board(
+            4, sum(v << k for k, v in enumerate(CELLS))),
+    }
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_views_agree_with_the_tuple(self, build):
+        p = self.BUILDS[build]()
+        assert p.cells == CELLS and all(type(v) is int for v in p.cells)
+        for _ in range(2):  # a fresh, writable copy on every call
+            arr = p.to_array()
+            assert arr.dtype == np.uint8 and arr.shape == (4, 4)
+            assert arr.flags.writeable and arr.ravel().tolist() == list(CELLS)
+            arr[:] = 1 - arr
+        want = np.array(CELLS)[window_indices(4)] @ WINDOW_WEIGHTS
+        assert p.codes.dtype == np.int64 and p.codes.shape == (4, 4)
+        assert p.codes.ravel().tolist() == want.tolist()
+        assert not p.codes.flags.writeable
+        assert p.ones == sum(CELLS) == 7
+        assert pack(p) == sum(v << k for k, v in enumerate(CELLS))
+        assert p.rows() == ["0110", "0100", "0111", "0100"]
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back.cells == CELLS
+        assert back.to_array().tolist() == p.to_array().tolist()
+        assert back.codes.tolist() == p.codes.tolist()
+        assert not back.codes.flags.writeable
+
+    def test_a_bare_int_is_not_nine_zero_cells(self):
+        # bytes(9) would be nine zero bytes
+        with pytest.raises(PatternError, match="cell values"):
+            Pattern(3, 9)
+
+    def test_kept_bytes_are_not_part_of_equality_hash_or_repr(self):
+        viewed, fresh = Pattern(4, bytes(CELLS)), Pattern(4, list(CELLS))
+        viewed.to_array(), viewed.codes, viewed.ones
+        assert viewed == fresh and hash(viewed) == hash(fresh)
+        assert repr(viewed) == repr(fresh) == f"Pattern(n=4, cells={CELLS})"
+        assert [f.name for f in dataclasses.fields(Pattern)] == ["n", "cells"]
 
 
 class TestWindowIndices:
