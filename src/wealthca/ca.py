@@ -3,11 +3,16 @@
 Each micro time-step updates one cell: if any template matches the cell's
 outer neighborhood, the cell is adjusted to a matching template's center
 value; otherwise noise may flip it. A generation is n^2 micro-steps.
-micro_step is the reference definition of one step. Under random selection
-a generation draws only the micro-steps that change a cell (the n-fold way
-of Bortz, Kalos & Lebowitz, J. Comput. Phys. 17, 1975): the same chain in
-law, without the null steps. Under both selections that sampler (_Buckets)
-holds every cell's window code and the counters TPS is read from.
+micro_step is the reference definition of one step.
+
+Every step runs one flip loop (_apply) over one of two pick sources, each
+a generator of the cells to flip. _steps makes reference micro-steps: one
+for micro_step, n^2 for a sequential generation. _jumps draws a random-
+selection generation with only the micro-steps that change a cell (the
+n-fold way of Bortz, Kalos & Lebowitz, J. Comput. Phys. 17, 1975): the
+same chain in law, without the null steps. The sampler (_Buckets), which
+the flip loop keeps current, holds every cell's window code and the
+counters TPS is read from.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 import random
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -64,7 +70,7 @@ class CaState:
     """Mutable per-run state: pattern cells, generation counter, sampler.
 
     cells change only through micro_step and generation, each flip through
-    _flip, which keeps the sampler current; changes counts the flips. The
+    _apply, which keeps the sampler current; changes counts the flips. The
     sampler counts the defectors and defector pairs: run_ca reads each
     generation's TPS off them, and is_stable answers "not stable" from the
     bucket sizes.
@@ -76,7 +82,7 @@ class CaState:
     t: int = 0
     cursor: int = 0  # next cell under sequential selection
     changes: int = 0
-    # cells grouped by change probability (see _sampler), kept by _flip
+    # cells grouped by change probability (see _sampler), kept by _apply
     _buckets: _Buckets | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -213,61 +219,87 @@ def _sampler(state: CaState, cfg: CaConfig) -> _Buckets:
     return bk
 
 
-def _flip(state: CaState, bk: _Buckets, cell: int) -> None:
-    """Flip one cell and keep the sampler current: ones and pairs move by
-    one and by its defector neighbors, and the 9 cells whose window holds
-    it move between buckets."""
-    cells = state.cells
-    codes, pos, members = bk.codes, bk.pos, bk.members
-    bucket = bk.table[1]
-    d = 1 - 2 * cells[cell]  # +1 for a new defector, -1 for a lost one
-    cells[cell] += d
-    bk.ones += d
-    # its defector neighbors, read before its own code changes
-    bk.pairs += d * (codes[cell] & 255).bit_count()
-    state.changes += 1
-    for j, bit in zip(bk.windows[cell], _FLIP_BITS):
-        code = codes[j] ^ bit
-        codes[j] = code
-        new, old = bucket[code], bucket[code ^ bit]
+def _apply(state: CaState, bk: _Buckets, picks) -> int:
+    """Flip each cell that picks yields, keeping the sampler current, and
+    return the number of flips: the CA's one flip loop.
+
+    A flip moves ones by one and pairs by the cell's defector neighbors,
+    and moves the 9 cells whose window holds it between buckets. picks is
+    a lazy source (_steps or _jumps) that reads the live codes and members,
+    so each pick sees every flip before it. The counters stay in locals
+    until the source is spent, or raises.
+    """
+    cells, codes, pos, members = state.cells, bk.codes, bk.pos, bk.members
+    windows, bucket = bk.windows, bk.table[1]
+    ones, pairs, flips = bk.ones, bk.pairs, 0
+    try:
+        for cell in picks:
+            d = 1 - 2 * cells[cell]  # +1: a new defector, -1: a lost one
+            cells[cell] += d
+            ones += d
+            # its defector neighbors, read before its own code changes
+            pairs += d * (codes[cell] & 255).bit_count()
+            flips += 1
+            for j, bit in zip(windows[cell], _FLIP_BITS):
+                was = codes[j]
+                codes[j] = code = was ^ bit
+                old, new = bucket[was], bucket[code]
+                if new != old:
+                    if old >= 0:
+                        m = members[old]
+                        last = m.pop()
+                        if last != j:
+                            i = pos[j]
+                            m[i] = last
+                            pos[last] = i
+                    if new >= 0:
+                        m = members[new]
+                        pos[j] = len(m)
+                        m.append(j)
+    finally:
+        bk.ones, bk.pairs = ones, pairs
+        state.changes += flips
+    return flips
+
+
+def _steps(state: CaState, cfg: CaConfig, rng: random.Random, count: int):
+    """Yield the cells that count reference micro-steps change.
+
+    Each step takes the cell at the cursor (sequential) or a uniform one
+    (random). If templates match its outer ring, the cell takes a matching
+    template's center; otherwise noise flips a 1 with probability pi_10
+    and a 0 with pi_01. The cursor moves past all count cells up front.
+    """
+    codes, centers_of = state._buckets.codes, cfg.hit_table
+    pi_01, pi_10 = cfg.pi_01, cfg.pi_10
+    uniform, choice = rng.random, rng.choice
+    n2 = state.n * state.n
+    if cfg.selection == "sequential":  # count <= n^2: at most one wrap
+        first, stop = state.cursor, state.cursor + count
+        state.cursor = stop % n2
+        picks = chain(range(first, min(stop, n2)), range(stop - n2))
+    else:  # each cell is drawn when its step comes
+        picks = map(rng.randrange, repeat(n2, count))
+    for cell in picks:
+        code = codes[cell]
+        centers = centers_of[code]
+        old = code >> 8
+        if centers:
+            new = centers[0] if len(centers) == 1 else choice(centers)
+        else:
+            new = old ^ (uniform() < (pi_10 if old else pi_01))
         if new != old:
-            if old >= 0:
-                m = members[old]
-                last = m.pop()
-                if last != j:
-                    m[pos[j]] = last
-                    pos[last] = pos[j]
-            if new >= 0:
-                m = members[new]
-                pos[j] = len(m)
-                m.append(j)
+            yield cell
 
 
 def micro_step(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
     """Update one cell; returns True if its pattern state changed."""
-    bk = _sampler(state, cfg)  # first: a bad state is refused unchanged
-    n2 = state.n * state.n
-    if cfg.selection == "sequential":
-        cell = state.cursor
-        state.cursor = (cell + 1) % n2
-    else:
-        cell = rng.randrange(n2)
-    code = bk.codes[cell]
-    centers = cfg.hit_table[code]
-    old = code >> 8
-    if centers:
-        new = centers[0] if len(centers) == 1 else rng.choice(centers)
-    else:  # noise flips a 1 with probability pi_10, a 0 with pi_01
-        new = old ^ (rng.random() < (cfg.pi_10 if old else cfg.pi_01))
-    if new == old:
-        return False
-    _flip(state, bk, cell)
-    return True
+    # the sampler first: a bad state is refused unchanged
+    return _apply(state, _sampler(state, cfg), _steps(state, cfg, rng, 1)) > 0
 
 
-def _jump_generation(state: CaState, cfg: CaConfig,
-                     rng: random.Random) -> bool:
-    """n^2 random-selection micro-steps in law, drawing only the changes.
+def _jumps(state: CaState, rng: random.Random):
+    """Yield the changes of n^2 random-selection micro-steps, in law.
 
     A micro-step changes a cell with probability p = (sum of the cells'
     rates) / n^2, and the cell it changes is drawn with probability
@@ -275,29 +307,29 @@ def _jump_generation(state: CaState, cfg: CaConfig,
     The null steps before that change are a geometric run, drawn next and
     independently: if the run reaches the end of the generation, the
     generation ends with no further change (the run is memoryless).
-    Otherwise the cell flips (_flip).
+    Otherwise the cell is yielded, to be flipped before the next draw.
     """
-    bk = _sampler(state, cfg)
-    rates, members = bk.table[0], bk.members
-    uniform, randrange = rng.random, rng.randrange
+    members = state._buckets.members
+    # (rate, member list) per bucket; the lists are live, kept by _apply
+    buckets = tuple(zip(state._buckets.table[0], members))
+    uniform, choice = rng.random, rng.choice
     log, log1p = math.log, math.log1p
     n2 = state.n * state.n
     left = n2
-    before = state.changes
     while True:
         total = 0.0
-        for r, m in zip(rates, members):
+        for r, m in buckets:
             total += r * len(m)
         if not total:
-            break
+            return
         x = uniform() * total
-        for r, m in zip(rates, members):
+        for r, m in buckets:
             x -= r * len(m)
             if x < 0.0:
                 break
         else:  # x rounded past the last weight
             m = next(m for m in reversed(members) if m)
-        cell = m[randrange(len(m))]
+        cell = choice(m)
         p = total / n2
         if p >= 1.0:
             wait = 0.0
@@ -305,25 +337,24 @@ def _jump_generation(state: CaState, cfg: CaConfig,
             q = log1p(-p)  # 0.0 only when p underflows: no change in reach
             wait = log(1.0 - uniform()) / q if q else math.inf
         if wait >= left:
-            break
+            return
         left -= int(wait) + 1
-        _flip(state, bk, cell)
-    return state.changes > before
+        yield cell
 
 
 def generation(state: CaState, cfg: CaConfig, rng: random.Random) -> bool:
     """Advance n^2 micro-steps; returns True if any cell changed.
 
-    Sequential selection runs micro_step n^2 times; random selection draws
-    the same chain in law, skipping the null steps (_jump_generation).
+    Sequential selection runs the reference steps n^2 times (_steps);
+    random selection draws the same chain in law, skipping the null steps
+    (_jumps). Either way the changes go through _apply.
     """
+    bk = _sampler(state, cfg)
     if cfg.selection == "random":
-        changed = _jump_generation(state, cfg, rng)
+        picks = _jumps(state, rng)
     else:
-        changed = False
-        for _ in range(state.n * state.n):
-            if micro_step(state, cfg, rng):
-                changed = True
+        picks = _steps(state, cfg, rng, state.n * state.n)
+    changed = _apply(state, bk, picks) > 0
     state.t += 1
     return changed
 

@@ -74,10 +74,11 @@ def _report(ctx, name: str, doc: dict) -> None:
 class _Command(click.Command):
     """A subcommand under the CLI contract.
 
-    A ValueError (PatternError included) or an OSError becomes
-    {"error": {"stage": ..., "message": ...}} on stderr with exit 1. A run
-    that returns normally writes <subcommand>_manifest.json last, recording
-    every parameter under its click name. Click's usage errors keep exit 2.
+    A ValueError (PatternError included), an OSError or a MemoryError
+    becomes {"error": {"stage": ..., "message": ...}} on stderr with exit
+    1. A run that returns normally writes <subcommand>_manifest.json last,
+    recording every parameter under its click name. Click's usage errors
+    keep exit 2.
     """
 
     def invoke(self, ctx):
@@ -92,10 +93,10 @@ class _Command(click.Command):
             }
             _write(ctx, f"{ctx.info_name}_manifest.json",
                    json.dumps(manifest, indent=2) + "\n")
-        except (ValueError, OSError) as exc:
-            click.echo(json.dumps({"error": {"stage": ctx.info_name,
-                                             "message": str(exc)}}),
-                       err=True)
+        except (ValueError, OSError, MemoryError) as exc:
+            click.echo(json.dumps({"error": {
+                "stage": ctx.info_name,
+                "message": str(exc) or type(exc).__name__}}), err=True)
             ctx.exit(1)
         return result
 

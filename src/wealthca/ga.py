@@ -11,6 +11,7 @@ words in one numpy pass and scores one by one only those that can win.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -165,6 +166,7 @@ def run_ga(cfg: GaConfig, n: int,
     Returns the population sorted by descending fitness.
     """
     check_size(n)
+    n = operator.index(n)  # a numpy int would leak into the bit masks
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(cfg, n, rng, params)
     iterations = 0

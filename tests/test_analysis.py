@@ -449,8 +449,7 @@ class TestSizeMustBeAnInteger:
         with pytest.raises(PatternError, match="integer, got 3.5"):
             Pattern(3.5, (0,) * 12)
 
-    # run_ga is left out: payoff.tps_of_bits cannot take a numpy int n
-    @pytest.mark.parametrize("name", sorted(set(ENTRY_POINTS) - {"run_ga"}))
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
     def test_takes_a_numpy_int(self, name):
         self.ENTRY_POINTS[name](np.int64(3))
 

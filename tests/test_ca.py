@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wealthca.analysis import derive_seed
-from wealthca.ca import (CaConfig, CaState, _Buckets, _hit_table, _rate_table,
-                         _window_flat_indices, generation, init_ca, is_stable,
-                         micro_step, run_ca)
+from wealthca.ca import (SELECTIONS, CaConfig, CaState, _Buckets, _hit_table,
+                         _rate_table, _window_flat_indices, generation,
+                         init_ca, is_stable, micro_step, run_ca)
 from wealthca.grid import Coord, Pattern, PatternError, pack
 from wealthca.payoff import PayoffParams, pair_count, tps, wealth
 from wealthca.templates import (Template, TemplateSet, builtin_set,
@@ -503,15 +503,17 @@ class TestJumpGeneration:
             got = rates[bucket[code]] if bucket[code] >= 0 else 0.0
             assert got == expect
 
+    @pytest.mark.parametrize("selection", SELECTIONS)
     @settings(deadline=None)
     @given(st.data())
-    def test_buckets_match_a_rebuild_after_every_generation(self, data):
+    def test_buckets_match_a_rebuild_after_every_generation(self, selection,
+                                                            data):
         ts = _random_template_set(data.draw)
         n = data.draw(st.integers(3, 9))
         cells = data.draw(st.lists(st.integers(0, 1), min_size=n * n,
                                    max_size=n * n))
         cfg = CaConfig(ts, pi_01=data.draw(probabilities),
-                       pi_10=data.draw(probabilities))
+                       pi_10=data.draw(probabilities), selection=selection)
         table = _rate_table(ts, cfg.pi_01, cfg.pi_10)
         state = CaState(n=n, cells=list(cells))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -521,6 +523,34 @@ class TestJumpGeneration:
             assert state.t == t
             assert changed == (state.changes > before)
             assert_buckets_rebuilt(state, table)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_sequential_generation_is_n2_micro_steps(self, data):
+        ts = _random_template_set(data.draw)
+        n = data.draw(st.integers(3, 7))
+        cells = data.draw(st.lists(st.integers(0, 1), min_size=n * n,
+                                   max_size=n * n))
+        cfg = CaConfig(ts, pi_01=data.draw(probabilities),
+                       pi_10=data.draw(probabilities), selection="sequential")
+        seed = data.draw(st.integers(0, 2**32))
+        state = CaState(n=n, cells=list(cells))
+        twin = CaState(n=n, cells=list(cells))
+        rng, twin_rng = random.Random(seed), random.Random(seed)
+        # a cursor away from cell 0, so the generation wraps around
+        for _ in range(data.draw(st.integers(0, n * n - 1))):
+            micro_step(state, cfg, rng)
+            micro_step(twin, cfg, twin_rng)
+        for _ in range(3):
+            generation(state, cfg, rng)
+            for _ in range(n * n):
+                micro_step(twin, cfg, twin_rng)
+            assert state.cells == twin.cells
+            assert (state.cursor, state.changes) == (twin.cursor,
+                                                     twin.changes)
+            assert_buckets_rebuilt(state, cfg.rate_table)
+            assert_buckets_rebuilt(twin, cfg.rate_table)
+            assert rng.getstate() == twin_rng.getstate()
 
     @settings(deadline=None)
     @given(st.data())

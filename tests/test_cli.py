@@ -228,6 +228,23 @@ class TestBadInput:
         assert json.loads(res.stderr)["error"]["stage"] == "evolve"
         assert not out.exists()
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 9.31 GiB"),
+         "Unable to allocate 9.31 GiB"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_out_of_memory_keeps_the_error_contract(
+            self, runner, tmp_path, monkeypatch, exc, message):
+        # an oversize construct --n fails inside numpy; never allocate here
+        def fail(n):
+            raise exc
+        monkeypatch.setattr("wealthca.cli.construct_optimal_odd", fail)
+        res = invoke(runner, tmp_path, "construct", "--n", "5",
+                     expect_exit=1)
+        assert json.loads(res.stderr) == {"error": {"stage": "construct",
+                                                    "message": message}}
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args", [
         ("oracle",),
         ("evolve", "--rule", "8", "--n", "4", "--select", "spiral"),
