@@ -150,14 +150,12 @@ def characteristic(p: Pattern,
 
 @lru_cache(maxsize=None)
 def _torus_masks(n: int) -> tuple[int, ...]:
-    """Masks of an n x n bitboard: all but the last column, the last column,
-    all but the first column, the first column, and the first row; then the
-    shifts that wrap a column and a row to the far side."""
-    first = sum(1 << (i * n) for i in range(n))
-    last = first << (n - 1)
+    """Masks of an n x n bitboard: all but the last column, the last column
+    and the first row; then the shifts that wrap a column and a row to the
+    far side."""
+    last = sum(1 << (i * n + n - 1) for i in range(n))
     full = (1 << (n * n)) - 1
-    return (full ^ last, last, full ^ first, first, (1 << n) - 1,
-            n - 1, n * n - n)
+    return full ^ last, last, (1 << n) - 1, n - 1, n * n - n
 
 
 def pair_count(x, n: int, popcount=int.bit_count):
@@ -166,19 +164,19 @@ def pair_count(x, n: int, popcount=int.bit_count):
     x is a bitboard (bit k = flat cell k, row-major) with a matching
     popcount, or an int32 (n <= 5), int64 (n <= 7) or uint64 (n <= 8) array
     of them with np.bitwise_count; an array gives E in x's dtype.
-    Each pair is counted once, from its upper or left cell, through the
-    toroidal shifts right, down, down-right and down-left; this needs n >= 3.
+    Each pair is counted once, as the top (k, right), the left (k, down) or
+    a diagonal, (k, down-right) or (right, down), of the 2 x 2 block whose
+    top-left cell is k on the torus; this needs n >= 3.
     """
-    not_last, last, not_first, first, row0, col, row = _torus_masks(n)
+    not_last, last, row0, col, row = _torus_masks(n)
     # bit k of each shift holds the state of cell k's neighbor that way
     right = ((x >> 1) & not_last) | ((x << col) & last)
     down = (x >> n) | ((x & row0) << row)
     down_right = ((down >> 1) & not_last) | ((down << col) & last)
-    down_left = ((down << 1) & not_first) | ((down >> col) & first)
     # 0 * x is 0 in x's own type: it widens np.bitwise_count's uint8
     # counts, whose sum would wrap at 256 (the all-ones board at n = 8)
     return (0 * x + popcount(x & right) + popcount(x & down)
-            + popcount(x & down_right) + popcount(x & down_left))
+            + popcount(x & down_right) + popcount(right & down))
 
 
 def tps_of_bits(board: int, n: int,

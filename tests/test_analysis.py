@@ -22,8 +22,9 @@ from wealthca.analysis import (_BASE5, ORACLE_MAX_N, _orbit,
                                wealth_formula_odd)
 from wealthca.ca import CaConfig, init_ca, run_ca
 from wealthca.ga import GaConfig, run_ga
-from wealthca.grid import (Coord, Pattern, PatternError, pack_rows, parse,
-                          symmetry_images, transform)
+from wealthca.grid import (MOORE_OFFSETS, Coord, Pattern, PatternError,
+                          pack_rows, parse, symmetry_images, transform,
+                          window_indices)
 from wealthca.payoff import (DEFAULT_PARAMS, PayoffParams, cell_total_payoff,
                              pair_count, tps, wealth)
 from wealthca.templates import (Template, TemplateSet, builtin_set,
@@ -121,14 +122,27 @@ def ref_construct_optimal_odd(n):
     return Pattern.from_array(arr)
 
 
+# the right, down-left, down and down-right neighbors: each 8-neighbor
+# pair is one cell and one of these four of it
+FORWARD = [MOORE_OFFSETS.index(d) for d in ((0, 1), (1, -1), (1, 0), (1, 1))]
+
+
+def ref_pair_count(rows, n):
+    """E of each row of a (m, n^2) 0/1 array, from the cells and their four
+    forward neighbors in window_indices, without payoff.pair_count."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    forward = rows[:, window_indices(n)[:, FORWARD]]
+    return (rows[:, :, None] & forward).sum(axis=(1, 2))
+
+
 def ref_oracle(n, params):
-    """All codes scored in one int64 pass; every optimum canonicalized, in
+    """All codes scored in one pass; every optimum canonicalized, in
     ascending code order, the first of each class kept."""
     nn = n * n
     c0, c1, c2 = params.pair_sum
     codes = np.arange(1 << nn, dtype=np.int64)
-    tps_all = (c0 * nn + c1 * np.bitwise_count(codes)
-               + c2 * pair_count(codes, n, np.bitwise_count))
+    rows = (codes[:, None] >> np.arange(nn)) & 1
+    tps_all = c0 * nn + c1 * rows.sum(axis=1) + c2 * ref_pair_count(rows, n)
     best = tps_all.max()
     best_codes = codes[tps_all == best].tolist()
     reps = {}
@@ -403,6 +417,21 @@ class TestOracle:
         res = brute_force_oracle(n, params)
         assert (res.max_tps, res.n_optima, res.representatives) == ref_oracle(
             n, params)
+
+    def test_pair_count_matches_the_forward_neighbor_count(self):
+        rng = np.random.default_rng(0)
+        for n in range(3, 13):
+            rows = rng.integers(0, 2, size=(200, n * n), dtype=np.uint8)
+            rows[0], rows[1] = 0, 1
+            want = ref_pair_count(rows, n).tolist()
+            boards = pack_rows(rows)
+            assert [pair_count(b, n) for b in boards] == want
+            # the dtypes that hold an n x n board, as in tps_of_boards
+            for dt, top in ((np.int32, 5), (np.int64, 7), (np.uint64, 8)):
+                if n in (5, 7, 8) and n <= top:
+                    arr = np.array(boards, dtype=dt)
+                    got = pair_count(arr, n, np.bitwise_count)
+                    assert got.dtype == dt and got.tolist() == want
 
     def test_many_classes_without_self_play(self):
         params = PayoffParams(self_play=False)

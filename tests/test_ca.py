@@ -576,6 +576,24 @@ class TestJumpGeneration:
             rings.get(c & 255) == {c >> 8}
             for c in state.pattern.codes.ravel().tolist())
 
+    def test_bucket_draw_rounded_past_the_last_weight(self):
+        # weights 0.3 * 4 defectors, then 0.2 * 12 cooperators: a bucket
+        # draw of 1 - 2^-53 leaves x at exactly 0.0 after both, so the
+        # cell comes from the last nonempty bucket. A near-zero wait flips
+        # it; the next wait, near 1, runs past the end of the generation.
+        top = 1.0 - 2.0 ** -53
+        draws = iter([top, 1e-9, 0.5, top])
+        rng = random.Random(0)
+        # an instance attribute: choice keeps drawing through getrandbits
+        rng.random = draws.__next__
+        cfg = CaConfig(TemplateSet(()), pi_01=0.2, pi_10=0.3)
+        state = CaState(n=4, cells=[1] * 4 + [0] * 12)
+        assert generation(state, cfg, rng)
+        assert next(draws, None) is None
+        assert state.changes == 1
+        assert state.cells[:4] == [1] * 4 and sum(state.cells) == 5
+        assert_buckets_rebuilt(state, cfg.rate_table)
+
     def test_every_micro_step_flips_when_every_rate_is_one(self):
         cfg = CaConfig(TemplateSet(()), pi_01=1.0, pi_10=1.0)
         rng = random.Random(8)
