@@ -12,18 +12,25 @@ taken under Python 3.11.7 and numpy 2.4.6.
   on numpy's Generator stream, which numpy does not promise to keep across
   versions (NEP 19), so a numpy upgrade may need a re-pin.
 - Oracle: max TPS, the raw optimum count and each representative's cells.
-- Window codes: Pattern.codes of seeded random patterns.
+- Window codes: Pattern.codes of seeded random patterns, and their other
+  Pattern views (to_array, pack, rows, ones).
+- Closed-form optima, odd n = 5..99: construct_optimal_odd's cells, one
+  seeded symmetry and shift of each (grid.transform), and of that image
+  the structure report, the singularities and the extracted templates
+  (codes and labels, in order).
 """
 
+import functools
 import hashlib
 import random
 
 import pytest
 
-from wealthca.analysis import brute_force_oracle, construct_optimal_odd
+from wealthca.analysis import (brute_force_oracle, construct_optimal_odd,
+                               detect_singularities, structure_report)
 from wealthca.ca import SELECTIONS, CaConfig, init_ca, micro_step, run_ca
 from wealthca.ga import GaConfig, run_ga
-from wealthca.grid import Pattern
+from wealthca.grid import SYMMETRY_OPS, Pattern, pack, transform
 from wealthca.payoff import DEFAULT_PARAMS, PayoffParams
 from wealthca.templates import builtin_set, extract_templates
 
@@ -124,13 +131,45 @@ def _oracle_digest() -> str:
     return h.hexdigest()
 
 
-def _codes_digest() -> str:
-    h = hashlib.sha256()
+def _random_patterns():
     rng = random.Random(0)
     for n in range(3, 40):
-        p = Pattern(n, tuple(rng.randint(0, 1) for _ in range(n * n)))
-        h.update(f"{n} ".encode() + p.codes.tobytes())
+        yield Pattern(n, tuple(rng.randint(0, 1) for _ in range(n * n)))
+
+
+def _codes_digest() -> str:
+    h = hashlib.sha256()
+    for p in _random_patterns():
+        h.update(f"{p.n} ".encode() + p.codes.tobytes())
     return h.hexdigest()
+
+
+def _views_digest() -> str:
+    h = hashlib.sha256()
+    for p in _random_patterns():
+        a = p.to_array()
+        h.update(f"{p.n} {a.dtype} {a.shape} {a.flags.writeable} {pack(p)} "
+                 f"{p.rows()} {p.ones} ".encode() + a.tobytes())
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _optima_records() -> dict[str, tuple[str, ...]]:
+    """Per part, one line per odd n = 5..99 of the closed-form sweep."""
+    rng = random.Random(0)
+    out = {part: [] for part in OPTIMA_DIGESTS}
+    for n in range(5, 100, 2):
+        p = construct_optimal_odd(n)
+        q = transform(p, rng.choice(SYMMETRY_OPS))
+        q = transform(q, "shift", rng.randrange(n), rng.randrange(n))
+        ts = extract_templates(q)
+        out["construct"].append(f"{n} {bytes(p.cells).hex()}")
+        out["transform"].append(f"{n} {bytes(q.cells).hex()}")
+        out["structure"].append(
+            f"{n} {structure_report(q)} {detect_singularities(q)}")
+        out["templates"].append(
+            f"{n} {[(t.code, t.label) for t in ts]}")
+    return {part: tuple(lines) for part, lines in out.items()}
 
 
 # run_ga at n = 3..9, seeds 0-2, 30 iterations each
@@ -142,6 +181,20 @@ ORACLE_DIGEST = (
 # Pattern.codes of one seeded random pattern per n = 3..39
 CODES_DIGEST = (
     "ffa37ef6dda6f95f61dcc992721255e549bab6c6040cc9b9305ba963a2eb9398")
+# to_array, pack, rows() and ones of the same patterns
+VIEWS_DIGEST = (
+    "ba40b01cc46ea907c9b1a8246bbfed9dca3365f61e22b5880a2c760708822828")
+# per part of the closed-form sweep at odd n = 5..99 (_optima_records)
+OPTIMA_DIGESTS = {
+    "construct":
+        "073342a3509f9144732d0ee7a0d27b2634a90114aa2557f602b5e87b283b7513",
+    "transform":
+        "290bd7ce477a8d9fa58a0ef7152306145240c9cbe62529e1d44fc632079ef9b0",
+    "structure":
+        "6a272cceee7412ab1a47bcd8d56eb69a8f6cd02440f3f31cd634fdbcc7e5d438",
+    "templates":
+        "56786a03946b623afa64c141fb23b0529c1de630e065f6249ba286e827f611ae",
+}
 
 
 def test_ga_runs_are_pinned():
@@ -154,3 +207,14 @@ def test_oracle_is_pinned():
 
 def test_window_codes_are_pinned():
     assert _codes_digest() == CODES_DIGEST
+
+
+def test_pattern_views_are_pinned():
+    assert _views_digest() == VIEWS_DIGEST
+
+
+@pytest.mark.parametrize("part", OPTIMA_DIGESTS)
+def test_closed_form_optima_are_pinned(part):
+    lines = _optima_records()[part]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == OPTIMA_DIGESTS[part]
