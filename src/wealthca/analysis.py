@@ -136,16 +136,22 @@ def construct_optimal_odd(n: int) -> Pattern:
     """Build the optimal odd-size pattern by recursive border growth.
 
     Starting from the 5x5 optimum, each step to size q+2 appends one row of
-    dominoes-and-points (110 followed by 10-repeats), one matching column,
-    two all-zero separators and a corner square carrying a single 1.
+    dominoes-and-points (110 followed by 10-repeats), one matching column
+    (011 followed by 01-repeats), two all-zero separators and a corner
+    square carrying a single 1. Each step's row and column are the first q
+    cells of one n-long line of each kind.
     """
     _require_odd(n)
+    check_size(n)
     arr = np.zeros((n, n), dtype=np.uint8)
     arr[:5, :5] = [[int(c) for c in row] for row in _BASE5]
+    row = np.zeros(n, dtype=np.uint8)
+    row[0], row[1::2] = 1, 1  # 110(10)*
+    col = 1 - row
+    col[1] = 1  # 011(01)*
     for q in range(5, n, 2):  # grow the top-left q x q block in place
-        m = (q - 3) // 2
-        arr[q + 1, :q] = [1, 1, 0] + [1, 0] * m
-        arr[:q, q] = [0, 1, 1] + [0, 1] * m
+        arr[q + 1, :q] = row[:q]
+        arr[:q, q] = col[:q]
         arr[q + 1, q] = 1
     return Pattern.from_array(arr)
 

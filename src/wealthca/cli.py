@@ -138,9 +138,12 @@ def ga(ctx, n, pop, p1, p2, iters, target, top):
     result = run_ga(cfg, n)
     for rank, sol in enumerate(result.solutions[:top]):
         _write(ctx, f"ga_best_{rank}.txt", serialize(sol.pattern))
+    optimum = optimal_tps(n)  # None where no closed form is known
     _report(ctx, "ga_summary.json", {
         "best_tps": result.best_fitness,
         "best_wealth": wealth(result.best.pattern),
+        "optimal_tps": optimum,
+        "tps_gap": None if optimum is None else optimum - result.best_fitness,
         "iterations_used": result.iterations,
         "seed": ctx.obj["seed"],
     })

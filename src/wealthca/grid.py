@@ -36,6 +36,11 @@ _SYMMETRIES = {
 #: The eight rotation/reflection operations accepted by :func:`transform`.
 SYMMETRY_OPS = tuple(_SYMMETRIES)
 
+#: Most cells a grid may have (n <= 2048), the counterpart of
+#: render.MAX_PIXELS: check_size refuses a larger n before anything of n^2
+#: cells is allocated.
+MAX_CELLS = 2**22
+
 
 class PatternError(ValueError):
     """Raised for malformed pattern data or text."""
@@ -50,13 +55,16 @@ def check_int(n) -> None:
 
 
 def check_size(n: int) -> None:
-    """Raise PatternError unless n is a valid side length (an integer >= 3).
+    """Raise PatternError unless n is a valid side length: an integer >= 3
+    whose n x n grid holds at most MAX_CELLS cells.
 
     Below 3 the eight Moore neighbors of a cell are no longer distinct.
     """
     check_int(n)
     if n < 3:
         raise PatternError(f"side length must be >= 3, got {n}")
+    if n * n > MAX_CELLS:
+        raise PatternError(f"a {n}x{n} grid exceeds {MAX_CELLS} cells")
 
 
 @dataclass(frozen=True)
@@ -100,18 +108,22 @@ class Pattern:
         (WINDOW_WEIGHTS), the one source of window codes.
 
         The codes come from whole-array sums over the pattern wrapped at its
-        edges, so no per-size index table is built or kept.
+        edges, so no per-size index table is built or kept. The sums run in
+        uint16, which holds every 9-bit code, and are widened once at the
+        end.
         """
         n = self.n
-        b = np.frombuffer(self._bytes, np.uint8).astype(np.int64).reshape(n, n)
+        b = np.frombuffer(self._bytes, np.uint8).reshape(n, n)
         wrap = np.arange(-1, n + 1) % n
-        w = b[:, wrap]  # each row with its last cell before and first after it
+        # each row with its last cell before and first after it
+        w = b[:, wrap].astype(np.uint16)
         # l + 2c + 4r over a cell's (left, center, right) row triple is bits
         # 0-2 of the code of the cell below it and, shifted by 5, bits 5-7 of
         # the code of the cell above it; its own row adds 8l + 16r + 256c
         row = w[:, :-2] + 2 * w[:, 1:-1] + 4 * w[:, 2:]
         codes = row[wrap[:-2]] + (row[wrap[2:]] << 5)
-        codes += 8 * w[:, :-2] + 16 * w[:, 2:] + 256 * b
+        codes += 8 * w[:, :-2] + 16 * w[:, 2:] + 256 * w[:, 1:-1]
+        codes = codes.astype(np.int64)
         codes.setflags(write=False)
         return codes
 
@@ -129,15 +141,23 @@ class Pattern:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Pattern":
-        """The pattern of a square 2-D array of 0/1 ints or bools."""
+        """The pattern of a square 2-D array of 0/1 ints or bools.
+
+        A uint8 or bool array of any layout passes its row-major bytes,
+        which __post_init__ checks like any cells; other dtypes pass Python
+        ints, so a value such as 256 is refused rather than wrapped to 0.
+        """
         arr = np.asarray(arr)
         if arr.ndim != 2:  # the cell count then checks that it is square
             raise PatternError(f"expected a 2-D array, got shape {arr.shape}")
-        return cls(arr.shape[0], arr.reshape(-1).tolist())
+        cells = (arr.tobytes() if arr.dtype in (np.uint8, np.bool_)
+                 else arr.reshape(-1).tolist())
+        return cls(arr.shape[0], cells)
 
     @classmethod
     def from_board(cls, n: int, board: int) -> "Pattern":
         """Inverse of pack: the n x n pattern of a bitboard."""
+        check_size(n)
         if not 0 <= board < 1 << (n * n):
             raise PatternError(f"a {n}x{n} board must be in [0, 2^{n * n}), "
                                f"got {board}")

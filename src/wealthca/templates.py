@@ -198,7 +198,8 @@ def extract_templates(p: Pattern, complete: bool = True) -> TemplateSet:
     labels where they coincide with built-in templates, the others are
     labelled X0, X1, ... in that order.
     """
-    codes, first = np.unique(p.codes, return_index=True)
+    # a stable argsort of 16-bit ints is a radix sort: same result as int64
+    codes, first = np.unique(p.codes.astype(np.uint16), return_index=True)
     ts = TemplateSet(_labelled(codes[np.argsort(first)].tolist()))
     return complete_under_symmetry(ts) if complete else ts
 

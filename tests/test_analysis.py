@@ -244,7 +244,7 @@ class TestConstruction:
         assert rep.ones == 2 * rep.dominoes + rep.points
 
     def test_matches_the_copying_growth_loop(self):
-        for n in range(5, 42, 2):
+        for n in (*range(5, 42, 2), 257, 301):  # past 256 cells a line
             assert (construct_optimal_odd(n).cells
                     == ref_construct_optimal_odd(n).cells)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -45,6 +46,11 @@ class TestGa:
                    "--iters", "50", seed=9)
         assert ((out_a / "ga_best_0.txt").read_text()
                 == (out_b / "ga_best_0.txt").read_text())
+
+    def test_no_known_optimum_gives_null_gap(self, runner, tmp_path):
+        res = invoke(runner, tmp_path, "ga", "--n", "3", "--iters", "5")
+        summary = json.loads(res.output)
+        assert summary["optimal_tps"] is None and summary["tps_gap"] is None
 
 
     def test_manifest_records_every_option(self, runner, tmp_path):
@@ -246,6 +252,20 @@ class TestBadInput:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
+        ("construct", "--n", "30001"),
+        ("evolve", "--rule", "52", "--n", "30001"),
+        ("ga", "--n", "30001"),
+    ], ids=lambda args: args[0])
+    def test_oversize_grid_refused_up_front(self, runner, tmp_path, args):
+        start = time.perf_counter()
+        res = invoke(runner, tmp_path, *args, expect_exit=1)
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(res.stderr) == {"error": {
+            "stage": args[0],
+            "message": "a 30001x30001 grid exceeds 4194304 cells"}}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
         ("oracle",),
         ("evolve", "--rule", "8", "--n", "4", "--select", "spiral"),
     ], ids=lambda args: " ".join(args))
@@ -366,7 +386,8 @@ class TestPipeline:
                      "--iters", "3000", "--tlimit", "500", seed=1)
         ga, extract, evolve, analyze = map(json.loads,
                                            res.output.splitlines())
-        assert ga["best_tps"] == 387.0
+        assert ga["best_tps"] == ga["optimal_tps"] == 387.0
+        assert ga["tps_gap"] == 0.0
         master = parse((tmp_path / "ga_best_0.txt").read_text())
         assert tps(master) == 387.0
         ts = parse_templates((tmp_path / "extract_templates.txt").read_text())
@@ -377,6 +398,13 @@ class TestPipeline:
         assert evolve["changes"] >= 0
         assert evolve["tps_final"] == 387.0
         assert analyze["structure"]["points"] == 9
+
+    def test_summary_says_when_the_ga_fell_short(self, runner, tmp_path):
+        res = invoke(runner, tmp_path, "pipeline", "--n", "11", "--iters",
+                     "50", "--tlimit", "1", seed=1)
+        ga = json.loads(res.output.splitlines()[0])
+        assert ga["optimal_tps"] == 1294.0
+        assert ga["tps_gap"] == ga["optimal_tps"] - ga["best_tps"] > 0
 
     def test_steps_by_hand_give_the_same_files(self, runner, tmp_path):
         whole, steps = tmp_path / "whole", tmp_path / "steps"
@@ -419,7 +447,8 @@ def _key_paths(doc, prefix=""):
     return paths
 
 
-_GA_KEYS = ["best_tps", "best_wealth", "iterations_used", "seed"]
+_GA_KEYS = ["best_tps", "best_wealth", "iterations_used", "optimal_tps",
+            "seed", "tps_gap"]
 _EVOLVE_KEYS = ["changes", "stable", "stop_reason", "t_max", "tps_final",
                 "w_max"]
 _EXTRACT_KEYS = ["ambiguous_rings", "count", "labels"]

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 import numpy as np
 
-from wealthca.grid import (MOORE_OFFSETS, Pattern, PatternError, SYMMETRY_OPS,
-                           WINDOW_WEIGHTS, pack, pack_rows, pack_words, parse,
-                           serialize, transform, window_indices)
+from wealthca.grid import (MAX_CELLS, MOORE_OFFSETS, Pattern, PatternError,
+                           SYMMETRY_OPS, WINDOW_WEIGHTS, check_size, pack,
+                           pack_rows, pack_words, parse, serialize, transform,
+                           window_indices)
 
 patterns = st.integers(3, 8).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
@@ -76,6 +77,46 @@ class TestPattern:
     def test_from_array_rejects_other_input(self, arr):
         with pytest.raises(PatternError):
             Pattern.from_array(arr)
+
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_from_array_refuses_other_bytes(self, value):
+        # a uint8 array passes its bytes; __post_init__ checks each one
+        arr = np.zeros((3, 3), dtype=np.uint8)
+        arr[1, 2] = value
+        with pytest.raises(PatternError, match="cell values"):
+            Pattern.from_array(arr)
+
+    def test_from_array_does_not_wrap_wide_ints(self):
+        arr = np.zeros((3, 3), dtype=np.int64)
+        arr[0, 0] = 256  # the byte 0 if it were cast to uint8
+        with pytest.raises(PatternError, match="cell values"):
+            Pattern.from_array(arr)
+
+    LAYOUTS = {
+        "bool": lambda a: a.astype(bool),
+        "fortran": np.asfortranarray,
+        "rot90": np.rot90,
+        "antitranspose": lambda a: a[::-1, ::-1].T,
+        "roll": lambda a: np.roll(a, (2, -1), axis=(0, 1)),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_from_array_reads_any_layout_row_major(self, layout):
+        rng = np.random.default_rng(3)
+        arr = self.LAYOUTS[layout](
+            rng.integers(0, 2, size=(5, 5), dtype=np.uint8))
+        want = Pattern(5, tuple(int(arr[i, j])
+                                for i in range(5) for j in range(5)))
+        assert Pattern.from_array(arr) == want
+
+    def test_size_cap(self):
+        side = int(MAX_CELLS ** 0.5)
+        check_size(side)
+        for n in (side + 1, 30001):  # refused before anything is allocated
+            with pytest.raises(PatternError, match="exceeds"):
+                check_size(n)
+            with pytest.raises(PatternError, match="exceeds"):
+                Pattern.from_board(n, 0)
 
     def test_to_array_is_a_fresh_writable_copy(self):
         p = Pattern(3, (0, 1, 0, 0, 0, 0, 0, 0, 1))
